@@ -34,9 +34,7 @@ from .registry import (
 from .rng import Rng64, rng_next
 from .scene import (
     AudioTrack,
-    DepthMap,
     ImuTrace,
-    LumaFrame,
     SceneCapture,
     ScenarioParams,
     ThermalMap,

@@ -17,13 +17,14 @@ lossless and two writes of the same capture are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CaptureError
-from .scene import AudioTrack, DepthMap, ImuTrace, LumaFrame, SceneCapture, ThermalMap
+from .scene import AudioTrack, ImuTrace, SceneCapture, ThermalMap
 
 _MAGIC_DEPTH = b"RSD1"
 _MAGIC_THERMAL = b"RST1"
@@ -35,14 +36,19 @@ _MAGIC_IMU = b"RSI1"
 # PGM codec
 # ---------------------------------------------------------------------------
 
-def encode_frame_pgm(frame: LumaFrame) -> bytes:
-    """Binary (P5) PGM encoding; deterministic, used as the sealed payload."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    return header + frame.pixels.tobytes()
+def encode_frame_pgm(frame: np.ndarray) -> bytes:
+    """Binary (P5) PGM encoding of a 2-D uint8 frame; deterministic, used as
+    the sealed payload."""
+    frame = np.asarray(frame)
+    if frame.dtype != np.uint8 or frame.ndim != 2:
+        raise CaptureError("PGM frame must be a 2-D uint8 array")
+    height, width = frame.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + frame.tobytes()
 
 
-def decode_frame_pgm(data: bytes) -> LumaFrame:
-    """Strict inverse of encode_frame_pgm (canonical header only)."""
+def decode_frame_pgm(data: bytes) -> np.ndarray:
+    """Strict inverse of encode_frame_pgm (canonical header only): a 2-D
+    uint8 array."""
     if not data.startswith(b"P5\n"):
         raise CaptureError("corrupt capture: bad PGM magic")
     rest = data[3:]
@@ -50,29 +56,30 @@ def decode_frame_pgm(data: bytes) -> LumaFrame:
     if nl < 0:
         raise CaptureError("corrupt capture: truncated PGM header")
     dims = rest[:nl].split(b" ")
-    if len(dims) != 2:
+    # ASCII digits with no leading zero: no sign, underscore or zero padding
+    if len(dims) != 2 or not all(d.isdigit() and not d.startswith(b"0") for d in dims):
         raise CaptureError("corrupt capture: bad PGM dimensions")
     try:
         width, height = int(dims[0]), int(dims[1])
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise CaptureError("corrupt capture: bad PGM dimensions") from None
     body = rest[nl + 1:]
     if not body.startswith(b"255\n"):
         raise CaptureError("corrupt capture: PGM maxval must be 255")
     pixels = body[4:]
-    if width <= 0 or height <= 0 or len(pixels) != width * height:
+    if len(pixels) != width * height:
         raise CaptureError("corrupt capture: PGM pixel count mismatch")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return LumaFrame(arr.copy())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
 # ---------------------------------------------------------------------------
 # Fixed-width binary records
 # ---------------------------------------------------------------------------
 
-def _encode_grid(magic: bytes, arr: np.ndarray) -> bytes:
+def _grid_parts(magic: bytes, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Header and contiguous little-endian float32 payload of a grid record."""
     h, w = arr.shape
-    return magic + struct.pack("<II", w, h) + arr.astype("<f4", copy=False).tobytes()
+    return magic + struct.pack("<II", w, h), np.ascontiguousarray(arr, dtype="<f4")
 
 def _decode_grid(magic: bytes, data: bytes, what: str) -> np.ndarray:
     if len(data) < 12 or data[:4] != magic:
@@ -82,7 +89,7 @@ def _decode_grid(magic: bytes, data: bytes, what: str) -> np.ndarray:
     if w == 0 or h == 0 or len(data) != expected:
         raise CaptureError(f"corrupt capture: {what} size mismatch")
     values = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w)
-    return values.astype(np.float32, copy=True)
+    return values.astype(np.float32, copy=False)
 
 
 def _encode_audio(track: AudioTrack) -> bytes:
@@ -123,6 +130,24 @@ _META_REQUIRED = {
 }
 
 
+def _overwrite(path: Path, *parts) -> None:
+    """Make the buffers in parts, back to back, the whole content of path.
+
+    The file is rewritten in place and trimmed only when its size changes.
+    Truncating it to zero first would make ext4 (auto_da_alloc) flush it to
+    the device on close, so each rewrite of a capture dir would wait on I/O.
+    """
+    try:
+        f = open(path, "r+b")
+    except FileNotFoundError:
+        f = open(path, "wb")
+    with f:
+        for part in parts:
+            f.write(part)
+        if f.tell() != os.fstat(f.fileno()).st_size:
+            f.truncate()
+
+
 def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
     """Write a capture directory; returns its path."""
     root = Path(path)
@@ -142,23 +167,58 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
             "lat_microdeg": capture.location[0],
             "lon_microdeg": capture.location[1],
         }
-    (root / "capture.json").write_bytes(
-        (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
+    _overwrite(root / "capture.json",
+               (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
     for i, frame in enumerate(capture.frames):
-        (root / f"frame_{i:04d}.pgm").write_bytes(encode_frame_pgm(frame))
+        _overwrite(root / f"frame_{i:04d}.pgm", encode_frame_pgm(frame))
     for i, depth in enumerate(capture.depth_maps):
-        (root / f"depth_{i:04d}.rsd").write_bytes(_encode_grid(_MAGIC_DEPTH, depth.depths))
-    (root / "thermal.rst").write_bytes(_encode_grid(_MAGIC_THERMAL, capture.thermal.temps))
-    (root / "audio.rsa").write_bytes(_encode_audio(capture.audio))
-    (root / "imu.rsi").write_bytes(_encode_imu(capture.imu))
+        _overwrite(root / f"depth_{i:04d}.rsd", *_grid_parts(_MAGIC_DEPTH, depth))
+    _overwrite(root / "thermal.rst", *_grid_parts(_MAGIC_THERMAL, capture.thermal.temps))
+    _overwrite(root / "audio.rsa", _encode_audio(capture.audio))
+    _overwrite(root / "imu.rsi", _encode_imu(capture.imu))
     return root
 
 
-def _read_bytes(root: Path, name: str) -> bytes:
+def _require_file(root: Path, name: str) -> Path:
     f = root / name
     if not f.is_file():
         raise CaptureError(f"corrupt capture: missing {name}")
-    return f.read_bytes()
+    return f
+
+
+def _read_bytes(root: Path, name: str) -> bytes:
+    return _require_file(root, name).read_bytes()
+
+
+def _read_stack(root: Path, pattern: str, n: int, decode) -> np.ndarray:
+    """Decode files pattern.format(0..n-1) into one preallocated (n,H,W) stack.
+
+    When file 0's array is its payload byte for byte, a later file of file
+    0's length and header is read straight into its slot; any other file is
+    decoded in full, which raises the precise error.
+    """
+    # Every file must exist before frame_count may size an allocation.
+    paths = [_require_file(root, pattern.format(i)) for i in range(n)]
+    data = paths[0].read_bytes()
+    first = decode(data)
+    header = data[:len(data) - first.nbytes]
+    direct = data[len(header):] == first.tobytes()
+    stack = np.empty((n, *first.shape), dtype=first.dtype)
+    stack[0] = first
+    head = bytearray(len(header))
+    for i in range(1, n):
+        name = pattern.format(i)
+        if direct:
+            body = memoryview(stack[i]).cast("B")
+            with open(paths[i], "rb", buffering=0) as f:
+                got = (f.readinto(head), f.readinto(body), len(f.read(1)))
+            if got == (len(head), body.nbytes, 0) and head == header:
+                continue
+        arr = decode(_read_bytes(root, name))
+        if arr.shape != first.shape:
+            raise CaptureError(f"corrupt capture: {name} dimensions differ from {pattern.format(0)}")
+        stack[i] = arr
+    return stack
 
 
 def read_capture_dir(path: str | Path) -> SceneCapture:
@@ -180,7 +240,8 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
             raise CaptureError(f"corrupt capture: {key} must be an integer")
     if not isinstance(meta["device_id"], str):
         raise CaptureError("corrupt capture: device_id must be a string")
-    if not isinstance(meta["pixels_per_radian"], (int, float)):
+    ppr = meta["pixels_per_radian"]
+    if not isinstance(ppr, (int, float)) or isinstance(ppr, bool):
         raise CaptureError("corrupt capture: pixels_per_radian must be a number")
     n = meta["frame_count"]
     if n <= 0:
@@ -194,10 +255,9 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
             raise CaptureError("corrupt capture: malformed location")
         location = (loc["lat_microdeg"], loc["lon_microdeg"])
 
-    frames = tuple(decode_frame_pgm(_read_bytes(root, f"frame_{i:04d}.pgm")) for i in range(n))
-    depth_maps = tuple(
-        DepthMap(_decode_grid(_MAGIC_DEPTH, _read_bytes(root, f"depth_{i:04d}.rsd"), "depth"))
-        for i in range(n))
+    frames = _read_stack(root, "frame_{:04d}.pgm", n, decode_frame_pgm)
+    depth_maps = _read_stack(root, "depth_{:04d}.rsd", n,
+                             lambda data: _decode_grid(_MAGIC_DEPTH, data, "depth"))
     thermal = ThermalMap(_decode_grid(_MAGIC_THERMAL, _read_bytes(root, "thermal.rst"), "thermal"))
     audio = _decode_audio(_read_bytes(root, "audio.rsa"))
     imu = _decode_imu(_read_bytes(root, "imu.rsi"))
@@ -212,7 +272,7 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         device_id=meta["device_id"],
         timestamp_unix=meta["timestamp_unix"],
         location=location,
-        pixels_per_radian=float(meta["pixels_per_radian"]),
+        pixels_per_radian=float(ppr),
     )
     if (capture.width, capture.height) != (meta["width"], meta["height"]):
         raise CaptureError("corrupt capture: metadata dims disagree with frames")

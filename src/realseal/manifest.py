@@ -27,9 +27,15 @@ _ALGOS = {"hash": ALGO_HASH, "scoring": ALGO_SCORING, "sig": ALGO_SIG}
 DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 _SHA256_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
 
-_LAT_MAX = 90_000_000
-_LON_MAX = 180_000_000
+LAT_MICRODEG_MAX = 90_000_000
+LON_MICRODEG_MAX = 180_000_000
 _TIMESTAMP_MAX = 2**63 - 1
+
+# Length of the longest canonical manifest: a 64-char device id, timestamp
+# 2**63 - 1, location (-90000000, -180000000) and every score at 1000. Longer
+# input cannot be canonical, so the parser refuses it before json.loads,
+# whose recursion a deeply nested body would otherwise exhaust.
+MAX_MANIFEST_LEN = 428
 
 _SCORE_KEYS = ("audio_sync", "depth", "motion", "overall", "thermal")
 
@@ -79,7 +85,7 @@ class RealismManifest:
             if len(self.location) != 2 or not all(_is_int(v) for v in self.location):
                 raise ManifestError("location must be two integers")
             lat, lon = self.location
-            if abs(lat) > _LAT_MAX or abs(lon) > _LON_MAX:
+            if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise ManifestError("location out of range")
             object.__setattr__(self, "location", (lat, lon))
 
@@ -149,8 +155,11 @@ def _require_int(obj: dict, key: str) -> int:
 
 def parse_manifest(data: bytes) -> RealismManifest:
     """Parse canonical manifest bytes; rejects anything non-canonical."""
+    data = bytes(data)
+    if len(data) > MAX_MANIFEST_LEN:
+        raise ManifestError(f"malformed manifest: longer than {MAX_MANIFEST_LEN} bytes")
     try:
-        text = bytes(data).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ManifestError("malformed manifest: invalid UTF-8") from None
     try:

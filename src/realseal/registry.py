@@ -12,11 +12,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import RegistryError
+from .manifest import DEVICE_ID_RE
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
 
-_DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 _PUBKEY_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
@@ -27,7 +27,7 @@ class RegistryEntry:
     public_key_hex: str
 
     def __post_init__(self) -> None:
-        if not _DEVICE_ID_RE.match(self.device_id):
+        if not DEVICE_ID_RE.match(self.device_id):
             raise RegistryError(f"bad device id {self.device_id!r}")
         if self.status not in (TRUSTED, REVOKED):
             raise RegistryError(f"bad status {self.status!r}")

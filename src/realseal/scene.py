@@ -16,28 +16,25 @@ generator is byte-reproducible: same seed, same capture.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CaptureError
+from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX
 from .rng import Stream, fill_unit
-
-DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+from .scoring import motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
 PIXELS_PER_RADIAN = 64.0
 
-LAT_MICRODEG_MAX = 90_000_000
-LON_MICRODEG_MAX = 180_000_000
-
 _DEFAULT_TIMESTAMP = 1_700_000_000
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    # No contiguous copy: a broadcast stack keeps sharing its one frame.
+    arr = np.asarray(arr)
     arr.flags.writeable = False
     return arr
 
@@ -45,60 +42,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Capture component types
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class LumaFrame:
-    """8-bit luminance image, stored row-major as a (height, width) array."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.pixels)
-        if arr.dtype != np.uint8:
-            raise CaptureError("frame pixels must be uint8")
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise CaptureError("frame must be 2-D with width, height >= 2")
-        self.pixels = _freeze(arr)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LumaFrame) and np.array_equal(self.pixels, other.pixels)
-
-
-@dataclass(eq=False)
-class DepthMap:
-    """Per-pixel scene distance in meters, float32, shape (height, width)."""
-
-    depths: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.depths)
-        if arr.dtype != np.float32:
-            raise CaptureError("depths must be float32")
-        if arr.ndim != 2 or arr.size == 0:
-            raise CaptureError("depth map must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-            raise CaptureError("depths must be finite and positive")
-        self.depths = _freeze(arr)
-
-    @property
-    def height(self) -> int:
-        return self.depths.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depths.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DepthMap) and np.array_equal(self.depths, other.depths)
-
 
 @dataclass(eq=False)
 class ThermalMap:
@@ -178,10 +121,15 @@ class ImuTrace:
 
 @dataclass(eq=False)
 class SceneCapture:
-    """One synchronized multisensory recording plus device identity."""
+    """One synchronized multisensory recording plus device identity.
 
-    frames: tuple[LumaFrame, ...]
-    depth_maps: tuple[DepthMap, ...]
+    ``frames`` is an (F,H,W) uint8 luminance stack and ``depth_maps`` an
+    (F,H,W) float32 stack of per-pixel scene distances in meters; both are
+    held read-only.
+    """
+
+    frames: np.ndarray
+    depth_maps: np.ndarray
     thermal: ThermalMap
     audio: AudioTrack
     imu: ImuTrace
@@ -192,25 +140,27 @@ class SceneCapture:
     pixels_per_radian: float = PIXELS_PER_RADIAN
 
     def __post_init__(self) -> None:
-        self.frames = tuple(self.frames)
-        self.depth_maps = tuple(self.depth_maps)
-        if not self.frames:
-            raise CaptureError("capture needs at least one frame")
-        if len(self.depth_maps) != len(self.frames):
-            raise CaptureError("one depth map per frame required")
-        w, h = self.frames[0].width, self.frames[0].height
-        for f in self.frames:
-            if (f.width, f.height) != (w, h):
-                raise CaptureError("all frames must share dimensions")
-        for d in self.depth_maps:
-            if (d.width, d.height) != (w, h):
-                raise CaptureError("depth map dimensions must match frames")
+        frames = np.asarray(self.frames)
+        depths = np.asarray(self.depth_maps)
+        if frames.dtype != np.uint8:
+            raise CaptureError("frame pixels must be uint8")
+        if frames.ndim != 3 or frames.shape[0] == 0 or min(frames.shape[1:]) < 2:
+            raise CaptureError("frames must be a non-empty (F,H,W) stack with width, height >= 2")
+        if depths.dtype != np.float32:
+            raise CaptureError("depths must be float32")
+        if depths.shape != frames.shape:
+            raise CaptureError("one depth map per frame, with the frame dimensions, required")
+        # min and max propagate NaN, so this also rejects NaN
+        if not (depths.min() > 0.0 and np.isfinite(depths.max())):
+            raise CaptureError("depths must be finite and positive")
+        self.frames = _freeze(frames)
+        self.depth_maps = _freeze(depths)
         if not isinstance(self.frame_rate, int) or self.frame_rate <= 0:
             raise CaptureError("frame_rate must be a positive integer")
-        if len(self.imu) != len(self.frames):
+        if len(self.imu) != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
         # audio must cover the frame span: samples/rate >= frames/frame_rate
-        if self.audio.samples.size * self.frame_rate < len(self.frames) * self.audio.sample_rate:
+        if self.audio.samples.size * self.frame_rate < self.frame_count * self.audio.sample_rate:
             raise CaptureError("audio shorter than the frame span")
         if not DEVICE_ID_RE.match(self.device_id):
             raise CaptureError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
@@ -228,22 +178,22 @@ class SceneCapture:
 
     @property
     def frame_count(self) -> int:
-        return len(self.frames)
+        return self.frames.shape[0]
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.frames.shape[2]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self.frames.shape[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SceneCapture):
             return NotImplemented
         return (
-            self.frames == other.frames
-            and self.depth_maps == other.depth_maps
+            np.array_equal(self.frames, other.frames)
+            and np.array_equal(self.depth_maps, other.depth_maps)
             and self.thermal == other.thermal
             and self.audio == other.audio
             and self.imu == other.imu
@@ -314,32 +264,12 @@ def _imu_for_shifts(shifts: np.ndarray, pixels_per_radian: float) -> np.ndarray:
     return (u / pixels_per_radian).astype(np.float32)
 
 
-def _motion_energy_u8(frames: list[np.ndarray]) -> np.ndarray:
-    # Mirrors the scoring definition: mean |pixel delta| / 255 per transition.
-    out = np.empty(len(frames) - 1, dtype=np.float64)
-    for k in range(len(frames) - 1):
-        a = frames[k].astype(np.int16)
-        b = frames[k + 1].astype(np.int16)
-        out[k] = np.abs(b - a).mean() / 255.0
-    return out
-
-
-def _window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
-    """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n."""
-    k = np.arange(frame_count + 1, dtype=np.int64)
-    return -(-(k * sample_rate) // frame_rate)
-
-
 def _audio_from_envelope(env: np.ndarray, frame_count: int, frame_rate: int,
                          sample_rate: int) -> AudioTrack:
     """Alternating-sign carrier whose per-window RMS equals env[k] exactly."""
-    bounds = _window_bounds(frame_count, frame_rate, sample_rate)
-    total = int(bounds[-1])
-    samples = np.empty(total, dtype=np.float64)
-    for k in range(frame_count):
-        samples[bounds[k]:bounds[k + 1]] = env[k]
-    signs = np.where(np.arange(total) % 2 == 0, 1.0, -1.0)
-    return AudioTrack(sample_rate, (samples * signs).astype(np.float32))
+    samples = np.repeat(env, np.diff(window_bounds(frame_count, frame_rate, sample_rate)))
+    samples[1::2] *= -1.0
+    return AudioTrack(sample_rate, samples.astype(np.float32))
 
 
 def _noise(seed: int, width: int, height: int, half_range: float) -> np.ndarray:
@@ -381,14 +311,21 @@ def _location(stream: Stream) -> tuple[int, int]:
     return lat, lon
 
 
+def _pan(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(F,H,W) stack whose frame k is np.roll(base, offsets[k], axis=1)."""
+    stack = np.empty((len(offsets), *base.shape), dtype=base.dtype)
+    for k, o in enumerate(offsets):
+        stack[k] = np.roll(base, int(o), axis=1)
+    return stack
+
+
 def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams
-                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Panned frame stack: returns (pixel arrays, offsets, per-transition shifts)."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panned frame stack: returns (frames, offsets, per-transition shifts)."""
     base = _texture(tex_seed, params.width, params.height)
     shifts = _pan_shifts(phase, params.frame_count)
     offsets = np.concatenate([[0], np.cumsum(shifts)])
-    pix = [np.roll(base, int(o), axis=1) for o in offsets]
-    return pix, offsets, shifts
+    return _pan(base, offsets), offsets, shifts
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +344,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     rect_u = (s.next_unit(), s.next_unit(), s.next_unit(), s.next_unit())
     phase = s.next_u64() & 3
 
-    pix, offsets, shifts = _moving_frames(tex_seed, phase, params)
-    frames = tuple(LumaFrame(p) for p in pix)
+    frames, offsets, shifts = _moving_frames(tex_seed, phase, params)
 
     rect = _body_rect(rect_u, params.width, params.height)
 
@@ -416,9 +352,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     # with the camera so frame 0 carries the unshifted structure.
     base_depth = params.depth_base_m + _noise(depth_seed, params.width, params.height, 0.05)
     base_depth[rect] -= 1.0
-    depth_maps = tuple(
-        DepthMap(np.roll(base_depth, int(o), axis=1).astype(np.float32)) for o in offsets
-    )
+    depth_maps = _pan(base_depth.astype(np.float32), offsets)
 
     xs = np.arange(params.width, dtype=np.float64)
     gradient = 2.0 * (xs / max(params.width - 1, 1) - 0.5)
@@ -432,7 +366,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
 
     # Sound follows the visuals: window k+1 carries the energy of the
     # transition into frame k+1, matching the scorer's envelope alignment.
-    m = _motion_energy_u8(pix)
+    m = motion_energy(frames)
     env = np.concatenate([[m[0]], m])
     audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
 
@@ -462,11 +396,11 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     audio_seed = s.derive_seed()
     phase = s.next_u64() & 3
 
-    pix, _offsets, shifts = _moving_frames(tex_seed, phase, params)
-    frames = tuple(LumaFrame(p) for p in pix)
+    frames, _offsets, shifts = _moving_frames(tex_seed, phase, params)
+    stack = (params.frame_count, params.height, params.width)
 
-    plane = _tilted_plane(s, params)
-    depth_maps = tuple(DepthMap(plane) for _ in range(params.frame_count))
+    # One shared plane for every frame: a read-only broadcast view.
+    depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
 
     thermal = _uniform_thermal(thermal_seed, params.screen_temp_c, params)
     imu = ImuTrace(_imu_for_shifts(shifts, PIXELS_PER_RADIAN))
@@ -500,11 +434,9 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
     thermal_seed = s.derive_seed()
     audio_seed = s.derive_seed()
 
-    base = _texture(tex_seed, params.width, params.height)
-    frames = tuple(LumaFrame(base) for _ in range(params.frame_count))
-
-    plane = _tilted_plane(s, params)
-    depth_maps = tuple(DepthMap(plane) for _ in range(params.frame_count))
+    stack = (params.frame_count, params.height, params.width)
+    frames = np.broadcast_to(_texture(tex_seed, params.width, params.height), stack)
+    depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
 
     thermal = _uniform_thermal(thermal_seed, params.ambient_temp_c, params)
     imu = ImuTrace(np.zeros(params.frame_count, dtype=np.float32))

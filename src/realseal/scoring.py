@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scene import AudioTrack, DepthMap, SceneCapture, ThermalMap
+if TYPE_CHECKING:  # scene imports this module, so no runtime import back
+    from .scene import AudioTrack, SceneCapture, ThermalMap
 
 _ZERO_MOTION_EPS = 1e-9
 
@@ -81,13 +83,13 @@ class PlaneFit:
 # Depth
 # ---------------------------------------------------------------------------
 
-def fit_plane(depth_map: DepthMap) -> PlaneFit:
-    """Least-squares plane through the depth grid.
+def fit_plane(depths: np.ndarray) -> PlaneFit:
+    """Least-squares plane through a 2-D depth grid.
 
     Centering x and y at the grid mean makes the design orthogonal on a full
     rectangle, so the normal equations decouple into three closed forms.
     """
-    d = depth_map.depths.astype(np.float64)
+    d = np.asarray(depths, dtype=np.float64)
     h, w = d.shape
     if w * h < 3:
         raise ValueError("plane fit needs at least 3 pixels")
@@ -103,9 +105,9 @@ def fit_plane(depth_map: DepthMap) -> PlaneFit:
     return PlaneFit(a=a, b=b, c=c, rms_residual=rms)
 
 
-def score_depth(depth_map: DepthMap, params: ScoringParams = ScoringParams()) -> float:
+def score_depth(depths: np.ndarray, params: ScoringParams = ScoringParams()) -> float:
     """1 - exp(-rms/tau): zero iff exactly planar, saturating toward 1."""
-    return 1.0 - math.exp(-fit_plane(depth_map).rms_residual / params.tau_depth_m)
+    return 1.0 - math.exp(-fit_plane(depths).rms_residual / params.tau_depth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -122,36 +124,41 @@ def score_thermal(thermal: ThermalMap, params: ScoringParams = ScoringParams()) 
 # Audio / motion series
 # ---------------------------------------------------------------------------
 
+def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
+    """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n."""
+    k = np.arange(frame_count + 1, dtype=np.int64)
+    return -(-(k * sample_rate) // frame_rate)
+
+
 def audio_envelope(audio: AudioTrack, frame_rate: int, frame_count: int) -> np.ndarray:
     """Per-frame RMS of the samples in [k/frame_rate, (k+1)/frame_rate)."""
     if frame_rate <= 0 or frame_count <= 0:
         raise ValueError("frame_rate and frame_count must be positive")
-    sr = audio.sample_rate
-    k = np.arange(frame_count + 1, dtype=np.int64)
-    bounds = -(-(k * sr) // frame_rate)  # ceil(k*sr/fr)
+    bounds = window_bounds(frame_count, frame_rate, audio.sample_rate)
     if bounds[-1] > audio.samples.size:
         raise ValueError("insufficient audio samples for the frame span")
-    if np.any(np.diff(bounds) == 0):
+    widths = np.diff(bounds)
+    if np.any(widths == 0):
         raise ValueError("frame window shorter than one audio sample")
-    x = audio.samples.astype(np.float64)
-    return np.array([
-        math.sqrt(float(np.mean(x[bounds[i]:bounds[i + 1]] ** 2)))
-        for i in range(frame_count)
-    ])
+    x = audio.samples[:bounds[-1]].astype(np.float64)
+    return np.sqrt(np.add.reduceat(x * x, bounds[:-1]) / widths)
+
+
+def _frame_stack(frames) -> np.ndarray:
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or len(frames) < 2:
+        raise ValueError("expected an (F,H,W) frame stack with at least 2 frames")
+    return frames
 
 
 def motion_energy(frames) -> np.ndarray:
-    """Mean |pixel delta| / 255 for each consecutive frame pair."""
-    if len(frames) < 2:
-        raise ValueError("motion energy needs at least 2 frames")
-    shape = frames[0].pixels.shape
-    out = np.empty(len(frames) - 1, dtype=np.float64)
-    for i in range(len(frames) - 1):
-        if frames[i + 1].pixels.shape != shape:
-            raise ValueError("frame dimensions mismatch")
-        delta = frames[i + 1].pixels.astype(np.int16) - frames[i].pixels.astype(np.int16)
-        out[i] = float(np.abs(delta).mean()) / 255.0
-    return out
+    """Mean |pixel delta| / 255 for each consecutive pair of an (F,H,W) stack."""
+    frames = _frame_stack(frames)
+    a, b = frames[:-1], frames[1:]
+    delta = np.maximum(a, b)
+    delta -= np.minimum(a, b)  # |b - a| without leaving uint8
+    sums = delta.sum(axis=(1, 2), dtype=np.int64)  # exact, unlike a float sum
+    return sums / (frames.shape[1] * frames.shape[2]) / 255.0
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -230,32 +237,25 @@ def score_audio_sync(capture: SceneCapture, params: ScoringParams = ScoringParam
 # ---------------------------------------------------------------------------
 
 def flow_shift(frames) -> np.ndarray:
-    """Signed integer horizontal shift (pixels) per frame transition.
+    """Signed integer horizontal shift (pixels) per transition of an (F,H,W) stack.
 
     Each frame collapses to its column-sum profile; the shift maximizing the
     circular normalized cross-correlation wins, searched over [-w//2, w//2]
     with ties resolved to the smallest |s|, negative first. Positive means
     content moved toward higher column indices.
+
+    A circular shift changes neither the mean nor the variance of a profile,
+    so rho ranks shifts exactly as the integer dot product p1 . roll(p2, -s)
+    does. Ranking by that exact product keeps exact ties exact (no overflow
+    while w * (255 * h)**2 < 2**63); a constant profile ties every shift and
+    yields 0.
     """
-    if len(frames) < 2:
-        raise ValueError("flow estimation needs at least 2 frames")
-    shape = frames[0].pixels.shape
-    profiles = []
-    for f in frames:
-        if f.pixels.shape != shape:
-            raise ValueError("frame dimensions mismatch")
-        profiles.append(f.pixels.astype(np.float64).sum(axis=0))
-    w = shape[1]
-    out = np.empty(len(frames) - 1, dtype=np.int64)
-    for i in range(len(frames) - 1):
-        p1, p2 = profiles[i], profiles[i + 1]
-        best_s, best_rho = 0, None
-        for s in _lag_preference(w // 2):
-            rho = _pearson(p1, np.roll(p2, -s))
-            if rho is not None and (best_rho is None or rho > best_rho):
-                best_s, best_rho = s, rho
-        out[i] = best_s
-    return out
+    profiles = _frame_stack(frames).sum(axis=1, dtype=np.int64)
+    w = profiles.shape[1]
+    shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
+    gather = (np.arange(w) + shifts[:, np.newaxis]) % w  # row j is roll(., -shifts[j])
+    return np.array([shifts[np.argmax(p2[gather] @ p1)]
+                     for p1, p2 in zip(profiles[:-1], profiles[1:])], dtype=np.int64)
 
 
 def score_motion(capture: SceneCapture, params: ScoringParams = ScoringParams()) -> float:
@@ -267,7 +267,7 @@ def score_motion(capture: SceneCapture, params: ScoringParams = ScoringParams())
     """
     f = flow_shift(capture.frames).astype(np.float64)
     u = capture.imu.yaw_rates.astype(np.float64)
-    if u.size != len(capture.frames):
+    if u.size != capture.frame_count:
         raise ValueError("IMU length mismatch")
     g = (u[:-1] + u[1:]) / 2.0 * capture.pixels_per_radian
     rho = _pearson(f, g)

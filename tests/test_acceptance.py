@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from realseal import (
-    DepthMap,
     DimensionScores,
     Registry,
     RegistryEntry,
@@ -169,7 +168,7 @@ def test_criterion_4_scorer_oracles(capsys):
     for _ in range(200):
         h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         depths = rng.uniform(0.5, 8.0, size=(h, w)).astype(np.float32)
-        mine = fit_plane(DepthMap(depths)).rms_residual
+        mine = fit_plane(depths).rms_residual
         ref = oracles.plane_rms_normal_equations(depths)
         worst_plane = max(worst_plane, abs(mine - ref))
 
@@ -209,7 +208,7 @@ def test_criterion_5_worked_fixtures(capsys):
 
     bump = np.full((3, 3), 2.0, dtype=np.float32)
     bump[1, 1] = 2.5
-    depth = score_depth(DepthMap(bump))
+    depth = score_depth(bump)
 
     results = [
         ("thermal half-36/half-38", thermal, 0.486583, 1e-5),

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from realseal import (
     CaptureError,
-    LumaFrame,
+    ScenarioParams,
     encode_frame_pgm,
     generate_genuine_scene,
     generate_printed_photo_scene,
@@ -19,25 +21,37 @@ from realseal.capture_io import decode_frame_pgm
 # ---------------------------------------------------------------------------
 
 def test_pgm_worked_example():
-    frame = LumaFrame(np.array([[0, 255], [128, 64]], dtype=np.uint8))
+    frame = np.array([[0, 255], [128, 64]], dtype=np.uint8)
     assert encode_frame_pgm(frame) == b"P5\n2 2\n255\n" + bytes([0x00, 0xFF, 0x80, 0x40])
 
 
 def test_pgm_all_zero_frame():
-    frame = LumaFrame(np.zeros((2, 2), dtype=np.uint8))
+    frame = np.zeros((2, 2), dtype=np.uint8)
     data = encode_frame_pgm(frame)
     assert data == b"P5\n2 2\n255\n" + b"\x00" * 4
     assert len(data) == 11 + 4
 
 
 def test_pgm_encode_deterministic():
-    frame = LumaFrame((np.arange(64, dtype=np.uint8)).reshape(8, 8))
+    frame = (np.arange(64, dtype=np.uint8)).reshape(8, 8)
     assert encode_frame_pgm(frame) == encode_frame_pgm(frame)
 
 
 def test_pgm_round_trip():
-    frame = LumaFrame((np.arange(48) * 5 % 256).astype(np.uint8).reshape(6, 8))
-    assert decode_frame_pgm(encode_frame_pgm(frame)) == frame
+    frame = (np.arange(48) * 5 % 256).astype(np.uint8).reshape(6, 8)
+    decoded = decode_frame_pgm(encode_frame_pgm(frame))
+    assert decoded.dtype == np.uint8 and np.array_equal(decoded, frame)
+
+
+@pytest.mark.parametrize("frame", [
+    np.zeros((2, 2), dtype=np.int16),
+    np.zeros((2, 2), dtype=np.float32),
+    np.zeros((2, 2, 2), dtype=np.uint8),
+    np.zeros(4, dtype=np.uint8),
+])
+def test_pgm_encode_rejects_non_2d_uint8(frame):
+    with pytest.raises(CaptureError):
+        encode_frame_pgm(frame)
 
 
 @pytest.mark.parametrize("data", [
@@ -47,6 +61,9 @@ def test_pgm_round_trip():
     b"P5\n2 2\n255\n" + b"\x00" * 5,      # long
     b"P5\n2\n255\n" + b"\x00" * 2,
     b"P5",
+    b"P5\n+2 2\n255\n" + b"\x00" * 4,   # sign
+    b"P5\n2 02\n255\n" + b"\x00" * 4,   # leading zero
+    b"P5\n0_2 2\n255\n" + b"\x00" * 4,  # underscore
 ])
 def test_pgm_decode_rejects_corruption(data):
     with pytest.raises(CaptureError):
@@ -76,6 +93,43 @@ def test_write_is_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_rewrite_over_larger_files_matches_fresh_write(tmp_path):
+    cap = generate_genuine_scene(42)
+    fresh = write_capture_dir(cap, tmp_path / "fresh")
+    reused = tmp_path / "reused"
+    write_capture_dir(generate_genuine_scene(7, ScenarioParams(width=48, height=40)), reused)
+    write_capture_dir(cap, reused)
+    for f in fresh.iterdir():
+        assert (reused / f.name).read_bytes() == f.read_bytes()
+    assert read_capture_dir(reused) == cap
+
+
+def test_non_contiguous_stacks_write_like_contiguous_ones(tmp_path):
+    cap = generate_genuine_scene(42)
+    flipped = dataclasses.replace(cap, frames=cap.frames[:, :, ::-1],
+                                  depth_maps=cap.depth_maps[:, ::-1, :])
+    assert not flipped.frames.flags.c_contiguous
+    copied = dataclasses.replace(cap, frames=np.ascontiguousarray(flipped.frames),
+                                 depth_maps=np.ascontiguousarray(flipped.depth_maps))
+    a = write_capture_dir(flipped, tmp_path / "a")
+    b = write_capture_dir(copied, tmp_path / "b")
+    for f in a.iterdir():
+        assert (b / f.name).read_bytes() == f.read_bytes()
+    assert read_capture_dir(a) == copied
+
+
+@pytest.mark.parametrize("name,edit,match", [
+    ("frame_0003.pgm", lambda d: d.replace(b"\n255\n", b"\n254\n", 1), "maxval"),
+    ("frame_0003.pgm", lambda d: d + b"\x00", "pixel count"),
+    ("depth_0005.rsd", lambda d: d.replace(b"RSD1", b"RSDX", 1), "bad depth header"),
+])
+def test_later_stack_file_unlike_the_first_is_corrupt(tmp_path, name, edit, match):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    (root / name).write_bytes(edit((root / name).read_bytes()))
+    with pytest.raises(CaptureError, match=match):
+        read_capture_dir(root)
+
+
 def test_truncated_depth_file_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     f = root / "depth_0003.rsd"
@@ -91,6 +145,14 @@ def test_dimension_mismatch_is_corrupt(tmp_path):
     small = b"RSD1" + struct.pack("<II", 4, 4) + np.ones(16, dtype="<f4").tobytes()
     (root / "depth_0000.rsd").write_bytes(small)
     with pytest.raises(CaptureError):
+        read_capture_dir(root)
+
+
+def test_huge_frame_count_is_corrupt_not_an_allocation(tmp_path):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    meta = (root / "capture.json").read_text()
+    (root / "capture.json").write_text(meta.replace('"frame_count":16', '"frame_count":10000000000'))
+    with pytest.raises(CaptureError, match="missing frame_0016.pgm"):
         read_capture_dir(root)
 
 
@@ -114,6 +176,16 @@ def test_metadata_field_tampering_detected(tmp_path):
     meta = (root / "capture.json").read_text()
     (root / "capture.json").write_text(meta.replace('"width":32', '"width":16'))
     with pytest.raises(CaptureError):
+        read_capture_dir(root)
+
+
+def test_boolean_pixels_per_radian_is_corrupt(tmp_path):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    meta = (root / "capture.json").read_text()
+    assert '"pixels_per_radian":64.0' in meta
+    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
+                                                    '"pixels_per_radian":true'))
+    with pytest.raises(CaptureError, match="pixels_per_radian"):
         read_capture_dir(root)
 
 

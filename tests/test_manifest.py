@@ -11,6 +11,7 @@ from realseal import (
     parse_manifest,
     quantize_score,
 )
+from realseal.manifest import MAX_MANIFEST_LEN
 
 ZERO_HASH = "0" * 64
 
@@ -125,6 +126,20 @@ def test_round_trip_random_manifests():
         data = canonical_encode(m)
         assert parse_manifest(data) == m
         assert canonical_encode(parse_manifest(data)) == data
+
+
+def test_longest_canonical_manifest_fits_length_cap():
+    longest = RealismManifest(
+        device_id="x" * 64,
+        timestamp_unix=2**63 - 1,
+        scores=ManifestScores(depth=1000, thermal=1000, audio_sync=1000, motion=1000,
+                              overall=1000),
+        image_sha256="f" * 64,
+        location=(-90_000_000, -180_000_000),
+    )
+    data = canonical_encode(longest)
+    assert len(data) == MAX_MANIFEST_LEN
+    assert parse_manifest(data) == longest
 
 
 def test_distinct_manifests_encode_distinctly():

@@ -4,8 +4,7 @@ import pytest
 from realseal import (
     AudioTrack,
     CaptureError,
-    DepthMap,
-    LumaFrame,
+    ImuTrace,
     SceneCapture,
     ScenarioParams,
     ThermalMap,
@@ -41,8 +40,8 @@ def test_capture_invariants(gen, seed):
     cap = gen(seed)
     n = cap.frame_count
     assert n == 16 and len(cap.depth_maps) == n and len(cap.imu) == n
-    assert all(f.width == cap.width and f.height == cap.height for f in cap.frames)
-    assert all(d.depths.shape == (cap.height, cap.width) for d in cap.depth_maps)
+    assert cap.frames.shape == (n, cap.height, cap.width) and cap.frames.dtype == np.uint8
+    assert cap.depth_maps.shape == cap.frames.shape and cap.depth_maps.dtype == np.float32
     # audio covers the frame span
     assert cap.audio.samples.size * cap.frame_rate >= n * cap.audio.sample_rate
     assert np.abs(cap.audio.samples).max() <= 1.0
@@ -56,12 +55,12 @@ def test_capture_invariants(gen, seed):
 
 def test_genuine_depth_is_nonplanar_by_oracle():
     cap = generate_genuine_scene(42)
-    assert plane_rms_normal_equations(cap.depth_maps[0].depths) >= 0.2
+    assert plane_rms_normal_equations(cap.depth_maps[0]) >= 0.2
 
 
 def test_genuine_has_two_depth_layers_far_apart():
     cap = generate_genuine_scene(42)
-    d = cap.depth_maps[0].depths.astype(np.float64)
+    d = cap.depth_maps[0].astype(np.float64)
     near, far = d[d < d.mean()], d[d >= d.mean()]
     assert far.mean() - near.mean() >= 0.5
 
@@ -90,7 +89,7 @@ def test_genuine_audio_envelope_tracks_motion():
 def test_screen_replay_depth_planar_everywhere():
     cap = generate_screen_replay_scene(7)
     for d in cap.depth_maps:
-        assert plane_rms_normal_equations(d.depths) <= 1e-3
+        assert plane_rms_normal_equations(d) <= 1e-3
 
 
 def test_screen_replay_thermal_uniform_at_body_heat():
@@ -112,7 +111,7 @@ def test_printed_photo_thermal_ambient_and_planar_depth():
     t = cap.thermal.temps.astype(np.float64)
     assert float(np.std(t)) <= 0.05
     assert t.mean() == pytest.approx(20.0, abs=0.05)
-    assert plane_rms_normal_equations(cap.depth_maps[0].depths) <= 1e-3
+    assert plane_rms_normal_equations(cap.depth_maps[0]) <= 1e-3
 
 
 def test_printed_photo_audio_has_energy():
@@ -123,9 +122,9 @@ def test_printed_photo_audio_has_energy():
 def test_scenario_separation_across_seeds():
     for seed in (1, 9, 17):
         assert plane_rms_normal_equations(
-            generate_genuine_scene(seed).depth_maps[0].depths) >= 0.2
+            generate_genuine_scene(seed).depth_maps[0]) >= 0.2
         assert plane_rms_normal_equations(
-            generate_screen_replay_scene(seed).depth_maps[0].depths) <= 1e-3
+            generate_screen_replay_scene(seed).depth_maps[0]) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +162,41 @@ def test_invalid_params_rejected(kwargs):
 # component type validation
 # ---------------------------------------------------------------------------
 
+def _with_stacks(frames, depth_maps) -> SceneCapture:
+    """A capture around the given stacks; every other sensor is valid."""
+    n, h, w = np.shape(frames)
+    return SceneCapture(
+        frames=frames,
+        depth_maps=depth_maps,
+        thermal=ThermalMap(np.full((h, w), 20.0, dtype=np.float32)),
+        audio=AudioTrack(80, np.zeros(10 * n, dtype=np.float32)),
+        imu=ImuTrace(np.zeros(n, dtype=np.float32)),
+        frame_rate=8,
+        device_id="T-1",
+        timestamp_unix=0,
+    )
+
+
 def test_luma_frame_validation():
-    with pytest.raises(CaptureError):
-        LumaFrame(np.zeros((1, 4), dtype=np.uint8))
-    with pytest.raises(CaptureError):
-        LumaFrame(np.zeros((4, 4), dtype=np.float32))
+    with pytest.raises(CaptureError):  # height 1
+        _with_stacks(np.zeros((4, 1, 4), dtype=np.uint8),
+                     np.full((4, 1, 4), 2.0, dtype=np.float32))
+    with pytest.raises(CaptureError):  # float pixels
+        _with_stacks(np.zeros((4, 4, 4), dtype=np.float32),
+                     np.full((4, 4, 4), 2.0, dtype=np.float32))
 
 
 def test_depth_map_validation():
+    frames = np.zeros((4, 2, 2), dtype=np.uint8)
     with pytest.raises(CaptureError):
-        DepthMap(np.zeros((2, 2), dtype=np.float32))  # not > 0
-    bad = np.full((2, 2), np.inf, dtype=np.float32)
+        _with_stacks(frames, np.zeros((4, 2, 2), dtype=np.float32))  # not > 0
+    bad = np.full((4, 2, 2), 2.0, dtype=np.float32)
+    bad[3, 1, 1] = np.inf
     with pytest.raises(CaptureError):
-        DepthMap(bad)
+        _with_stacks(frames, bad)
+    bad[3, 1, 1] = np.nan
+    with pytest.raises(CaptureError):
+        _with_stacks(frames, bad)
 
 
 def test_thermal_map_validation():
@@ -244,4 +265,6 @@ def test_capture_cross_validation():
 def test_arrays_are_frozen():
     cap = generate_genuine_scene(1)
     with pytest.raises(ValueError):
-        cap.frames[0].pixels[0, 0] = 1
+        cap.frames[0][0, 0] = 1
+    with pytest.raises(ValueError):
+        cap.depth_maps[3, 0, 0] = 1.0

@@ -4,10 +4,8 @@ import pytest
 
 from realseal import (
     AudioTrack,
-    DepthMap,
     DimensionScores,
     ImuTrace,
-    LumaFrame,
     SceneCapture,
     ScoringParams,
     ThermalMap,
@@ -42,14 +40,14 @@ SHIFTED_AV_SCORE = 2.0 / 3.0
 MOTION_FIXTURE_RHO = 0.9819805060619656
 
 
-def _depth(values) -> DepthMap:
-    return DepthMap(np.asarray(values, dtype=np.float32))
+def _depth(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float32)
 
 
-def _center_bump() -> DepthMap:
+def _center_bump() -> np.ndarray:
     d = np.full((3, 3), 2.0, dtype=np.float32)
     d[1, 1] = 2.5
-    return DepthMap(d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +84,7 @@ def test_fit_plane_matches_normal_equations_oracle():
         h = int(rng.integers(2, 9))
         w = int(rng.integers(2, 9))
         depths = rng.uniform(0.5, 5.0, size=(h, w)).astype(np.float32)
-        mine = fit_plane(DepthMap(depths)).rms_residual
+        mine = fit_plane(depths).rms_residual
         assert mine == pytest.approx(plane_rms_normal_equations(depths), abs=1e-9)
 
 
@@ -111,7 +109,7 @@ def test_score_depth_strictly_increasing_in_residual():
     for bump in (0.2, 0.5, 1.0, 2.0):
         d = np.full((3, 3), 2.0, dtype=np.float32)
         d[1, 1] = 2.0 + bump
-        scores.append(score_depth(DepthMap(d)))
+        scores.append(score_depth(d))
     assert all(a < b for a, b in zip(scores, scores[1:]))
     assert all(0.0 < s < 1.0 for s in scores)
 
@@ -186,7 +184,7 @@ def test_envelope_insufficient_samples():
 # ---------------------------------------------------------------------------
 
 def _frames(*arrays):
-    return [LumaFrame(np.asarray(a, dtype=np.uint8)) for a in arrays]
+    return np.stack([np.asarray(a, dtype=np.uint8) for a in arrays])
 
 
 def test_motion_energy_identical_frames():
@@ -206,8 +204,11 @@ def test_motion_energy_checkerboard_inversion():
 
 
 def test_motion_energy_dimension_mismatch():
+    # frames of different sizes do not form a stack; one 2-D frame is not a stack
     with pytest.raises(ValueError):
         motion_energy(_frames(np.zeros((4, 4)), np.zeros((4, 5))))
+    with pytest.raises(ValueError):
+        motion_energy(np.zeros((4, 4), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,8 @@ def test_av_alignment_shift_by_one_fixture():
 def test_score_audio_sync_silent_and_static_is_neutral():
     base = np.full((4, 4), 100, dtype=np.uint8)
     cap = SceneCapture(
-        frames=tuple(LumaFrame(base) for _ in range(4)),
-        depth_maps=tuple(DepthMap(np.full((4, 4), 2.0, dtype=np.float32)) for _ in range(4)),
+        frames=np.stack([base] * 4),
+        depth_maps=np.full((4, 4, 4), 2.0, dtype=np.float32),
         thermal=ThermalMap(np.full((4, 4), 20.0, dtype=np.float32)),
         audio=AudioTrack(80, np.zeros(40, dtype=np.float32)),
         imu=ImuTrace(np.zeros(4, dtype=np.float32)),
@@ -318,6 +319,15 @@ def test_flow_shift_uniform_frames_tie_to_zero():
     assert np.all(flow_shift(_frames(flat, flat)) == 0)
 
 
+def test_flow_shift_exact_tie_resolves_to_smallest_shift():
+    # Column sums p1 = [8,3,7,8,7] and p2 = [11,7,9,8,6]. The dot product
+    # p1 . roll(p2, -s) is 278 for s = 0 and for s = -2, and lower for every
+    # other shift (258, 264, 275), so the tie rule picks s = 0.
+    f0 = [[4, 2, 7, 6, 6], [4, 1, 0, 2, 1]]
+    f1 = [[5, 5, 7, 6, 0], [6, 2, 2, 2, 6]]
+    assert list(flow_shift(_frames(f0, f1))) == [0]
+
+
 def test_flow_shift_matches_reference_on_random_pans():
     rng = np.random.default_rng(8)
     base = rng.integers(0, 256, size=(8, 16)).astype(np.uint8)
@@ -337,11 +347,9 @@ def _motion_capture(offsets, imu_u, width=16, height=8, ppr=64.0):
     rng = np.random.default_rng(3)
     base = rng.integers(0, 256, size=(height, width)).astype(np.uint8)
     n = len(offsets)
-    frames = tuple(LumaFrame(np.roll(base, int(o), axis=1)) for o in offsets)
     return SceneCapture(
-        frames=frames,
-        depth_maps=tuple(DepthMap(np.full((height, width), 2.0, dtype=np.float32))
-                         for _ in range(n)),
+        frames=np.stack([np.roll(base, int(o), axis=1) for o in offsets]),
+        depth_maps=np.full((n, height, width), 2.0, dtype=np.float32),
         thermal=ThermalMap(np.full((height, width), 20.0, dtype=np.float32)),
         audio=AudioTrack(80, np.zeros(10 * n, dtype=np.float32)),
         imu=ImuTrace((np.asarray(imu_u, dtype=np.float64) / ppr).astype(np.float32)),

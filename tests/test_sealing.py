@@ -229,6 +229,14 @@ def test_malformed_sidecar_verdict(trusted_registry):
     assert not (report.signature_valid or report.image_hash_match or report.device_trusted)
 
 
+def test_nesting_bomb_sidecar_is_malformed(trusted_registry):
+    import struct
+    bomb = b"[" * 100_000
+    sidecar = (b"RSL1" + struct.pack(">I", len(bomb)) + bomb
+               + struct.pack(">I", 64) + b"\x00" * 64)
+    assert verify(b"img", sidecar, trusted_registry).verdict == "malformed"
+
+
 def test_signature_invalid_beats_hash_mismatch(device_pair, trusted_registry):
     # both the manifest signature and the image hash are wrong
     bundle = _bundle(device_pair)
