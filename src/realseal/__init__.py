@@ -46,7 +46,6 @@ from .scene import (
 from .scoring import (
     DimensionScores,
     PlaneFit,
-    ScoringParams,
     aggregate,
     audio_envelope,
     best_lag_correlation,

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CaptureError
+from .manifest import _is_int
 from .scene import AudioTrack, ImuTrace, SceneCapture, ThermalMap
 
 _MAGIC_DEPTH = b"RSD1"
@@ -236,7 +237,7 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     if keys != _META_REQUIRED:
         raise CaptureError("corrupt capture: capture.json has wrong fields")
     for key in ("frame_count", "frame_rate", "height", "sample_rate", "timestamp_unix", "width"):
-        if not isinstance(meta[key], int) or isinstance(meta[key], bool):
+        if not _is_int(meta[key]):
             raise CaptureError(f"corrupt capture: {key} must be an integer")
     if not isinstance(meta["device_id"], str):
         raise CaptureError("corrupt capture: device_id must be a string")
@@ -251,7 +252,7 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     if "location" in meta:
         loc = meta["location"]
         if (not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in loc.values())):
+                or not all(_is_int(v) for v in loc.values())):
             raise CaptureError("corrupt capture: malformed location")
         location = (loc["lat_microdeg"], loc["lon_microdeg"])
 

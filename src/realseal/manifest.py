@@ -24,8 +24,9 @@ ALGO_SIG = "ed25519"
 ALGO_SCORING = "realseal-v1"
 _ALGOS = {"hash": ALGO_HASH, "scoring": ALGO_SCORING, "sig": ALGO_SIG}
 
-DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
-_SHA256_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
+# \Z, not $: $ also matches before a trailing "\n".
+DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}\Z")
+_SHA256_HEX_RE = re.compile(r"^[0-9a-f]{64}\Z")
 
 LAT_MICRODEG_MAX = 90_000_000
 LON_MICRODEG_MAX = 180_000_000

@@ -2,8 +2,9 @@
 
 File format (``registry.rsr``): UTF-8 lines ``device_id SP status SP
 pubkey_hex`` with LF endings; lines starting with '#' and blank lines are
-ignored on load. save() emits the canonical form (entries only), so
-load/save round-trips canonical files byte-identically.
+ignored on load. Device ids are unique: a Registry indexes its entries by id
+once, at construction, and refuses a repeated id. save() emits the canonical
+form (entries only), so load/save round-trips canonical files byte-identically.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from .manifest import DEVICE_ID_RE
 TRUSTED = "trusted"
 REVOKED = "revoked"
 
-_PUBKEY_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
+_PUBKEY_HEX_RE = re.compile(r"^[0-9a-f]{64}\Z")
 
 
-@dataclass(frozen=True)
+# slots: no __dict__ per entry, ~45 B less each in a 10^5-device registry
+@dataclass(frozen=True, slots=True)
 class RegistryEntry:
     device_id: str
     status: str
@@ -40,20 +42,18 @@ class Registry:
     entries: tuple[RegistryEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen: set[str] = set()
+        by_id: dict[str, RegistryEntry] = {}
         for e in self.entries:
-            if e.device_id in seen:
+            if e.device_id in by_id:
                 raise RegistryError(f"duplicate device id {e.device_id!r}")
-            seen.add(e.device_id)
+            by_id[e.device_id] = e
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "entries", tuple(by_id.values()))  # dicts keep insertion order
 
 
 def lookup(registry: Registry, device_id: str) -> RegistryEntry | None:
     """Exact, case-sensitive lookup."""
-    for e in registry.entries:
-        if e.device_id == device_id:
-            return e
-    return None
+    return registry._by_id.get(device_id)
 
 
 def revoke(registry: Registry, device_id: str) -> Registry:
@@ -75,30 +75,24 @@ def load_registry(data: bytes) -> Registry:
         text = bytes(data).decode("utf-8")
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
-    entries = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(" ")
-        if len(fields) != 3:
-            raise RegistryError(f"line {lineno}: expected 'device_id status pubkey_hex'")
-        try:
-            entries.append(RegistryEntry(*fields))
-        except RegistryError as exc:
-            raise RegistryError(f"line {lineno}: {exc}") from None
-    try:
-        return Registry(tuple(entries))
-    except RegistryError as exc:
-        # report the line of the second occurrence
-        seen: set[str] = set()
+    lineno = 0
+
+    def parse():
+        # Registry pulls one entry at a time, so lineno is the line of
+        # whichever entry an error (syntax, field or duplicate) is about.
+        nonlocal lineno
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line or line.startswith("#"):
                 continue
-            device_id = line.split(" ")[0]
-            if device_id in seen:
-                raise RegistryError(f"line {lineno}: duplicate device id {device_id!r}") from None
-            seen.add(device_id)
-        raise exc
+            fields = line.split(" ")
+            if len(fields) != 3:
+                raise RegistryError("expected 'device_id status pubkey_hex'")
+            yield RegistryEntry(*fields)
+
+    try:
+        return Registry(parse())
+    except RegistryError as exc:
+        raise RegistryError(f"line {lineno}: {exc}") from None
 
 
 def save_registry(registry: Registry) -> bytes:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaptureError
-from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX
+from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
 from .rng import Stream, fill_unit
 from .scoring import motion_energy, window_bounds
 
@@ -81,7 +81,7 @@ class AudioTrack:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
+        if not _is_int(self.sample_rate) or self.sample_rate <= 0:
             raise CaptureError("sample_rate must be a positive integer")
         arr = np.asarray(self.samples)
         if arr.dtype != np.float32 or arr.ndim != 1:
@@ -155,7 +155,7 @@ class SceneCapture:
             raise CaptureError("depths must be finite and positive")
         self.frames = _freeze(frames)
         self.depth_maps = _freeze(depths)
-        if not isinstance(self.frame_rate, int) or self.frame_rate <= 0:
+        if not _is_int(self.frame_rate) or self.frame_rate <= 0:
             raise CaptureError("frame_rate must be a positive integer")
         if len(self.imu) != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
@@ -164,11 +164,11 @@ class SceneCapture:
             raise CaptureError("audio shorter than the frame span")
         if not DEVICE_ID_RE.match(self.device_id):
             raise CaptureError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
-        if not isinstance(self.timestamp_unix, int) or self.timestamp_unix < 0:
+        if not _is_int(self.timestamp_unix) or self.timestamp_unix < 0:
             raise CaptureError("timestamp_unix must be a non-negative integer")
         if self.location is not None:
             lat, lon = self.location
-            if not (isinstance(lat, int) and isinstance(lon, int)):
+            if not (_is_int(lat) and _is_int(lon)):
                 raise CaptureError("location must be integer microdegrees")
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise CaptureError("location out of range")
@@ -221,7 +221,7 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         ints = (self.width, self.height, self.frame_count, self.frame_rate, self.sample_rate)
-        if not all(isinstance(v, int) and v > 0 for v in ints):
+        if not all(_is_int(v) and v > 0 for v in ints):
             raise CaptureError("dimensions and rates must be positive integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")

@@ -8,8 +8,7 @@ Each scorer targets one staging cue:
 * motion     - agreement between optical-flow shifts and gyro yaw rates
 
 Scores live in [0, 1] with 1 = most credible. Aggregation multiplies the
-weighted mean by a veto term so one collapsed dimension cannot be averaged
-away.
+mean by a veto term so one collapsed dimension cannot be averaged away.
 """
 
 from __future__ import annotations
@@ -25,27 +24,12 @@ if TYPE_CHECKING:  # scene imports this module, so no runtime import back
 
 _ZERO_MOTION_EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class ScoringParams:
-    tau_depth_m: float = 0.05
-    tau_thermal_c: float = 1.5
-    max_lag_frames: int = 2
-    veto_threshold: float = 0.2
-    weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-
-    def __post_init__(self) -> None:
-        if not (self.tau_depth_m > 0 and self.tau_thermal_c > 0):
-            raise ValueError("taus must be positive")
-        if not (isinstance(self.max_lag_frames, int) and self.max_lag_frames >= 0):
-            raise ValueError("max_lag_frames must be a non-negative integer")
-        if not 0 < self.veto_threshold <= 1:
-            raise ValueError("veto_threshold must lie in (0, 1]")
-        w = self.weights
-        if len(w) != 4 or any(x < 0 for x in w):
-            raise ValueError("weights must be four non-negative reals")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+# The realseal-v1 scoring constants. Every sealed manifest names
+# "realseal-v1", so these are fixed by that version, not settable.
+_TAU_DEPTH_M = 0.05
+_TAU_THERMAL_C = 1.5
+_MAX_LAG_FRAMES = 2
+_VETO_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -105,19 +89,19 @@ def fit_plane(depths: np.ndarray) -> PlaneFit:
     return PlaneFit(a=a, b=b, c=c, rms_residual=rms)
 
 
-def score_depth(depths: np.ndarray, params: ScoringParams = ScoringParams()) -> float:
+def score_depth(depths: np.ndarray) -> float:
     """1 - exp(-rms/tau): zero iff exactly planar, saturating toward 1."""
-    return 1.0 - math.exp(-fit_plane(depths).rms_residual / params.tau_depth_m)
+    return 1.0 - math.exp(-fit_plane(depths).rms_residual / _TAU_DEPTH_M)
 
 
 # ---------------------------------------------------------------------------
 # Thermal
 # ---------------------------------------------------------------------------
 
-def score_thermal(thermal: ThermalMap, params: ScoringParams = ScoringParams()) -> float:
+def score_thermal(thermal: ThermalMap) -> float:
     """1 - exp(-sigma/tau) over the population std of the temperature map."""
     sigma = float(np.std(thermal.temps.astype(np.float64)))
-    return 1.0 - math.exp(-sigma / params.tau_thermal_c)
+    return 1.0 - math.exp(-sigma / _TAU_THERMAL_C)
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +196,24 @@ def best_lag_correlation(x, y, max_lag: int) -> tuple[int, float | None]:
     return best_lag, best_rho
 
 
-def score_av_alignment(envelope_tail, motion, params: ScoringParams = ScoringParams()) -> float:
+def score_av_alignment(envelope_tail, motion) -> float:
     """Alignment score for a (sound, motion) series pair.
 
     max(0, rho*) discounted by how far the best lag sits from zero; 0.5 when
     the correlation is undefined (both signals flat is not evidence either way).
     """
-    lag, rho = best_lag_correlation(envelope_tail, motion, params.max_lag_frames)
+    lag, rho = best_lag_correlation(envelope_tail, motion, _MAX_LAG_FRAMES)
     if rho is None:
         return 0.5
-    score = max(0.0, rho) * (1.0 - abs(lag) / (params.max_lag_frames + 1))
+    score = max(0.0, rho) * (1.0 - abs(lag) / (_MAX_LAG_FRAMES + 1))
     return min(1.0, max(0.0, score))
 
 
-def score_audio_sync(capture: SceneCapture, params: ScoringParams = ScoringParams()) -> float:
+def score_audio_sync(capture: SceneCapture) -> float:
     env = audio_envelope(capture.audio, capture.frame_rate, capture.frame_count)
     m = motion_energy(capture.frames)
     # env[k+1] lines up with the transition into frame k+1
-    return score_av_alignment(env[1:], m, params)
+    return score_av_alignment(env[1:], m)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def flow_shift(frames) -> np.ndarray:
                      for p1, p2 in zip(profiles[:-1], profiles[1:])], dtype=np.int64)
 
 
-def score_motion(capture: SceneCapture, params: ScoringParams = ScoringParams()) -> float:
+def score_motion(capture: SceneCapture) -> float:
     """Correlation between flow shifts and trapezoid-averaged gyro motion.
 
     Zero-variance handling: if either series is constant, the capture is
@@ -282,21 +266,20 @@ def score_motion(capture: SceneCapture, params: ScoringParams = ScoringParams())
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def aggregate(scores: DimensionScores, params: ScoringParams = ScoringParams()) -> float:
-    """Weighted mean times the veto term min(1, min_score/theta)."""
+def aggregate(scores: DimensionScores) -> float:
+    """Mean times the veto term min(1, min_score/theta)."""
     s = (scores.depth, scores.thermal, scores.audio_sync, scores.motion)
-    mean = sum(w * v for w, v in zip(params.weights, s))
-    veto = min(1.0, min(s) / params.veto_threshold)
+    mean = sum(0.25 * v for v in s)
+    veto = min(1.0, min(s) / _VETO_THRESHOLD)
     return mean * veto
 
 
-def score_capture(capture: SceneCapture,
-                  params: ScoringParams = ScoringParams()) -> tuple[DimensionScores, float]:
+def score_capture(capture: SceneCapture) -> tuple[DimensionScores, float]:
     """Run all four scorers (depth on frame 0) and aggregate."""
     dims = DimensionScores(
-        depth=score_depth(capture.depth_maps[0], params),
-        thermal=score_thermal(capture.thermal, params),
-        audio_sync=score_audio_sync(capture, params),
-        motion=score_motion(capture, params),
+        depth=score_depth(capture.depth_maps[0]),
+        thermal=score_thermal(capture.thermal),
+        audio_sync=score_audio_sync(capture),
+        motion=score_motion(capture),
     )
-    return dims, aggregate(dims, params)
+    return dims, aggregate(dims)

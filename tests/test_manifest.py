@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from realseal import (
+    TRUSTED,
     ManifestError,
     ManifestScores,
     RealismManifest,
+    RealSealError,
+    RegistryEntry,
     canonical_encode,
+    keygen,
     parse_manifest,
     quantize_score,
 )
+from realseal.cli import main
 from realseal.manifest import MAX_MANIFEST_LEN
 
 ZERO_HASH = "0" * 64
@@ -259,3 +264,31 @@ def test_manifest_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ManifestError):
         RealismManifest(**base)
+
+
+# ---------------------------------------------------------------------------
+# identifiers end at the end of the string
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda out: keygen("CAM-001\n", bytes(32)), id="keygen"),
+    pytest.param(lambda out: RealismManifest(
+        device_id="CAM-001\n", timestamp_unix=0, scores=MINIMAL.scores,
+        image_sha256=ZERO_HASH), id="manifest-device-id"),
+    pytest.param(lambda out: RealismManifest(
+        device_id="CAM-001", timestamp_unix=0, scores=MINIMAL.scores,
+        image_sha256=ZERO_HASH + "\n"), id="manifest-image-hash"),
+    pytest.param(lambda out: RegistryEntry("CAM-001\n", TRUSTED, "aa" * 32),
+                 id="registry-device-id"),
+    pytest.param(lambda out: RegistryEntry("CAM-001", TRUSTED, "aa" * 32 + "\n"),
+                 id="registry-public-key"),
+    pytest.param(lambda out: main(["keygen", "CAM-001\n", "--seed", "00" * 32,
+                                   "--out", str(out)]), id="cli-keygen"),
+])
+def test_identifier_with_trailing_newline_is_refused(make, tmp_path):
+    try:
+        refused = make(tmp_path) == 2  # the CLI's usage-error exit code
+    except RealSealError:
+        refused = True
+    assert refused
+    assert not any(tmp_path.iterdir())

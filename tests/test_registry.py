@@ -1,6 +1,7 @@
 import pytest
 
 from realseal import (
+    Registry,
     RegistryEntry,
     RegistryError,
     REVOKED,
@@ -37,6 +38,42 @@ def test_duplicate_device_id_names_line():
     dup = CANONICAL + f"CAM-001 trusted {KEY_B}\n".encode()
     with pytest.raises(RegistryError, match="line 3"):
         load_registry(dup)
+
+
+def test_duplicate_after_comments_names_its_file_line():
+    noisy = (b"# fleet keys\n\n" + CANONICAL + b"\n# more\n"
+             + f"CAM-002 trusted {KEY_A}\n".encode())
+    # the duplicate is entry 3 but line 7 of the file
+    with pytest.raises(RegistryError, match=r"^line 7: duplicate device id 'CAM-002'$"):
+        load_registry(noisy)
+
+
+def test_duplicate_on_last_line_without_newline():
+    dup = CANONICAL + f"CAM-002 trusted {KEY_A}".encode()
+    with pytest.raises(RegistryError, match=r"^line 3: duplicate"):
+        load_registry(dup)
+
+
+def test_registry_built_directly_refuses_duplicate():
+    e = RegistryEntry("CAM-001", TRUSTED, KEY_A)
+    e2 = RegistryEntry("CAM-001", REVOKED, KEY_B)
+    for entries in ((e, e2), (e, e)):
+        with pytest.raises(RegistryError, match="duplicate device id 'CAM-001'"):
+            Registry(entries)
+
+
+def test_every_id_looks_up_to_its_entry_across_updates():
+    entries = tuple(RegistryEntry(f"CAM-{i:04d}", TRUSTED, f"{i:064x}") for i in range(1000))
+    reg = Registry(iter(entries))
+    assert reg.entries == entries
+    revoked = revoke(reg, "CAM-0500")
+    grown = add_entry(revoked, RegistryEntry("CAM-1000", TRUSTED, KEY_A))
+    for r in (reg, revoked, grown):
+        for i, e in enumerate(r.entries):
+            assert lookup(r, f"CAM-{i:04d}") is e
+    assert lookup(revoked, "CAM-0500").status == REVOKED
+    assert lookup(grown, "CAM-1000").public_key_hex == KEY_A
+    assert lookup(grown, "CAM-1001") is None
 
 
 def test_syntax_error_names_line():

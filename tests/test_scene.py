@@ -152,6 +152,7 @@ def test_small_params_still_valid():
     dict(sample_rate=0),
     dict(depth_base_m=0.0),
     dict(ambient_temp_c=-1.0),
+    dict(frame_rate=True),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
@@ -210,6 +211,8 @@ def test_audio_track_validation():
     with pytest.raises(CaptureError):
         AudioTrack(0, np.zeros(4, dtype=np.float32))
     with pytest.raises(CaptureError):
+        AudioTrack(True, np.zeros(4, dtype=np.float32))
+    with pytest.raises(CaptureError):
         AudioTrack(8000, np.array([2.0], dtype=np.float32))
 
 
@@ -260,6 +263,32 @@ def test_capture_cross_validation():
             timestamp_unix=cap.timestamp_unix,
             location=(91_000_000, 0),
         )
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(frame_rate=True),
+    dict(timestamp_unix=True),
+    dict(location=(True, False)),
+])
+def test_capture_integers_refuse_booleans(kwargs):
+    # 1 Hz audio at 1 frame/s covers the frames, so frame_rate=True passes
+    # every check except the integer one
+    n = 4
+    base = dict(
+        frames=np.zeros((n, 2, 2), dtype=np.uint8),
+        depth_maps=np.full((n, 2, 2), 2.0, dtype=np.float32),
+        thermal=ThermalMap(np.full((2, 2), 20.0, dtype=np.float32)),
+        audio=AudioTrack(1, np.zeros(n, dtype=np.float32)),
+        imu=ImuTrace(np.zeros(n, dtype=np.float32)),
+        frame_rate=1,
+        device_id="T-1",
+        timestamp_unix=1,
+        location=(1, 0),
+    )
+    SceneCapture(**base)
+    base.update(kwargs)
+    with pytest.raises(CaptureError, match="integer"):
+        SceneCapture(**base)
 
 
 def test_arrays_are_frozen():

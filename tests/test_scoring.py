@@ -7,7 +7,6 @@ from realseal import (
     DimensionScores,
     ImuTrace,
     SceneCapture,
-    ScoringParams,
     ThermalMap,
     aggregate,
     audio_envelope,
@@ -441,35 +440,11 @@ def test_aggregate_equal_scores_above_threshold_pass_through():
         assert aggregate(_dims(s, s, s, s)) == pytest.approx(s, abs=1e-12)
 
 
-def test_aggregate_depends_only_on_weight_ratios():
-    ratios = np.array([2.0, 1.0, 1.0, 4.0])
-    w1 = tuple(ratios / ratios.sum())
-    w2 = tuple((3.0 * ratios) / (3.0 * ratios).sum())
-    dims = _dims(0.7, 0.9, 0.6, 0.8)
-    a = aggregate(dims, ScoringParams(weights=w1))
-    b = aggregate(dims, ScoringParams(weights=w2))
-    assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_dimension_scores_range_enforced():
     with pytest.raises(ValueError):
         _dims(1.1, 0, 0, 0)
     with pytest.raises(ValueError):
         _dims(0, -0.1, 0, 0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(tau_depth_m=0.0),
-    dict(tau_thermal_c=-1.0),
-    dict(max_lag_frames=-1),
-    dict(veto_threshold=0.0),
-    dict(veto_threshold=1.5),
-    dict(weights=(0.5, 0.5, 0.5, 0.5)),
-    dict(weights=(1.0, 0.0, 0.0)),
-])
-def test_scoring_params_validation(kwargs):
-    with pytest.raises(ValueError):
-        ScoringParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
