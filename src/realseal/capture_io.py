@@ -131,7 +131,7 @@ _META_REQUIRED = {
 }
 
 
-def _overwrite(path: Path, *parts) -> None:
+def _overwrite(path: str, *parts) -> None:
     """Make the buffers in parts, back to back, the whole content of path.
 
     The file is rewritten in place and trimmed only when its size changes.
@@ -151,8 +151,8 @@ def _overwrite(path: Path, *parts) -> None:
 
 def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
     """Write a capture directory; returns its path."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+    root = os.fspath(path)
+    os.makedirs(root, exist_ok=True)
     meta: dict = {
         "device_id": capture.device_id,
         "frame_count": capture.frame_count,
@@ -168,30 +168,32 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
             "lat_microdeg": capture.location[0],
             "lon_microdeg": capture.location[1],
         }
-    _overwrite(root / "capture.json",
+    _overwrite(os.path.join(root, "capture.json"),
                (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
     for i, frame in enumerate(capture.frames):
-        _overwrite(root / f"frame_{i:04d}.pgm", encode_frame_pgm(frame))
+        _overwrite(os.path.join(root, f"frame_{i:04d}.pgm"), encode_frame_pgm(frame))
     for i, depth in enumerate(capture.depth_maps):
-        _overwrite(root / f"depth_{i:04d}.rsd", *_grid_parts(_MAGIC_DEPTH, depth))
-    _overwrite(root / "thermal.rst", *_grid_parts(_MAGIC_THERMAL, capture.thermal.temps))
-    _overwrite(root / "audio.rsa", _encode_audio(capture.audio))
-    _overwrite(root / "imu.rsi", _encode_imu(capture.imu))
-    return root
+        _overwrite(os.path.join(root, f"depth_{i:04d}.rsd"), *_grid_parts(_MAGIC_DEPTH, depth))
+    _overwrite(os.path.join(root, "thermal.rst"),
+               *_grid_parts(_MAGIC_THERMAL, capture.thermal.temps))
+    _overwrite(os.path.join(root, "audio.rsa"), _encode_audio(capture.audio))
+    _overwrite(os.path.join(root, "imu.rsi"), _encode_imu(capture.imu))
+    return Path(root)
 
 
-def _require_file(root: Path, name: str) -> Path:
-    f = root / name
-    if not f.is_file():
+def _require_file(root: str, files: set[str], name: str) -> str:
+    """Path of root/name; files is the set of names of root's regular files."""
+    if name not in files:
         raise CaptureError(f"corrupt capture: missing {name}")
-    return f
+    return os.path.join(root, name)
 
 
-def _read_bytes(root: Path, name: str) -> bytes:
-    return _require_file(root, name).read_bytes()
+def _read_bytes(root: str, files: set[str], name: str) -> bytes:
+    with open(_require_file(root, files, name), "rb") as f:
+        return f.read()
 
 
-def _read_stack(root: Path, pattern: str, n: int, decode) -> np.ndarray:
+def _read_stack(root: str, files: set[str], pattern: str, n: int, decode) -> np.ndarray:
     """Decode files pattern.format(0..n-1) into one preallocated (n,H,W) stack.
 
     When file 0's array is its payload byte for byte, a later file of file
@@ -199,8 +201,8 @@ def _read_stack(root: Path, pattern: str, n: int, decode) -> np.ndarray:
     decoded in full, which raises the precise error.
     """
     # Every file must exist before frame_count may size an allocation.
-    paths = [_require_file(root, pattern.format(i)) for i in range(n)]
-    data = paths[0].read_bytes()
+    paths = [_require_file(root, files, pattern.format(i)) for i in range(n)]
+    data = _read_bytes(root, files, pattern.format(0))
     first = decode(data)
     header = data[:len(data) - first.nbytes]
     direct = data[len(header):] == first.tobytes()
@@ -215,7 +217,7 @@ def _read_stack(root: Path, pattern: str, n: int, decode) -> np.ndarray:
                 got = (f.readinto(head), f.readinto(body), len(f.read(1)))
             if got == (len(head), body.nbytes, 0) and head == header:
                 continue
-        arr = decode(_read_bytes(root, name))
+        arr = decode(_read_bytes(root, files, name))
         if arr.shape != first.shape:
             raise CaptureError(f"corrupt capture: {name} dimensions differ from {pattern.format(0)}")
         stack[i] = arr
@@ -224,11 +226,15 @@ def _read_stack(root: Path, pattern: str, n: int, decode) -> np.ndarray:
 
 def read_capture_dir(path: str | Path) -> SceneCapture:
     """Read a capture directory written by write_capture_dir."""
-    root = Path(path)
-    if not root.is_dir():
+    root = os.fspath(path)
+    if not os.path.isdir(root):
         raise CaptureError(f"corrupt capture: {root} is not a directory")
+    # One scan answers every existence check. DirEntry.is_file follows
+    # symlinks, so a dangling link or a directory counts as missing.
+    with os.scandir(root) as entries:
+        files = {e.name for e in entries if e.is_file()}
     try:
-        meta = json.loads(_read_bytes(root, "capture.json"))
+        meta = json.loads(_read_bytes(root, files, "capture.json"))
     except (ValueError, UnicodeDecodeError):
         raise CaptureError("corrupt capture: capture.json is not valid JSON") from None
     if not isinstance(meta, dict):
@@ -256,12 +262,13 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
             raise CaptureError("corrupt capture: malformed location")
         location = (loc["lat_microdeg"], loc["lon_microdeg"])
 
-    frames = _read_stack(root, "frame_{:04d}.pgm", n, decode_frame_pgm)
-    depth_maps = _read_stack(root, "depth_{:04d}.rsd", n,
+    frames = _read_stack(root, files, "frame_{:04d}.pgm", n, decode_frame_pgm)
+    depth_maps = _read_stack(root, files, "depth_{:04d}.rsd", n,
                              lambda data: _decode_grid(_MAGIC_DEPTH, data, "depth"))
-    thermal = ThermalMap(_decode_grid(_MAGIC_THERMAL, _read_bytes(root, "thermal.rst"), "thermal"))
-    audio = _decode_audio(_read_bytes(root, "audio.rsa"))
-    imu = _decode_imu(_read_bytes(root, "imu.rsi"))
+    thermal = ThermalMap(_decode_grid(_MAGIC_THERMAL, _read_bytes(root, files, "thermal.rst"),
+                                       "thermal"))
+    audio = _decode_audio(_read_bytes(root, files, "audio.rsa"))
+    imu = _decode_imu(_read_bytes(root, files, "imu.rsi"))
 
     capture = SceneCapture(
         frames=frames,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CaptureError
 from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
@@ -159,6 +160,9 @@ class SceneCapture:
             raise CaptureError("frame_rate must be a positive integer")
         if len(self.imu) != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
+        # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
+        if self.audio.sample_rate < self.frame_rate:
+            raise CaptureError("audio sample_rate must be at least frame_rate")
         # audio must cover the frame span: samples/rate >= frames/frame_rate
         if self.audio.samples.size * self.frame_rate < self.frame_count * self.audio.sample_rate:
             raise CaptureError("audio shorter than the frame span")
@@ -313,10 +317,10 @@ def _location(stream: Stream) -> tuple[int, int]:
 
 def _pan(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(F,H,W) stack whose frame k is np.roll(base, offsets[k], axis=1)."""
-    stack = np.empty((len(offsets), *base.shape), dtype=base.dtype)
-    for k, o in enumerate(offsets):
-        stack[k] = np.roll(base, int(o), axis=1)
-    return stack
+    w = base.shape[1]
+    # windows[:, j] == np.roll(base, -j, axis=1), a strided view rather than a copy
+    windows = sliding_window_view(np.concatenate([base, base[:, :-1]], axis=1), w, axis=1)
+    return np.ascontiguousarray(windows.transpose(1, 0, 2)[-offsets % w])
 
 
 def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:  # scene imports this module, so no runtime import back
     from .scene import AudioTrack, SceneCapture, ThermalMap
@@ -230,16 +231,20 @@ def flow_shift(frames) -> np.ndarray:
 
     A circular shift changes neither the mean nor the variance of a profile,
     so rho ranks shifts exactly as the integer dot product p1 . roll(p2, -s)
-    does. Ranking by that exact product keeps exact ties exact (no overflow
-    while w * (255 * h)**2 < 2**63); a constant profile ties every shift and
-    yields 0.
+    does. All transitions are ranked by one int64 product against the
+    circulant of each next profile; being exact, it keeps exact ties exact
+    (no overflow while w * (255 * h)**2 < 2**63), and a constant profile
+    ties every shift and yields 0.
     """
     profiles = _frame_stack(frames).sum(axis=1, dtype=np.int64)
     w = profiles.shape[1]
     shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
-    gather = (np.arange(w) + shifts[:, np.newaxis]) % w  # row j is roll(., -shifts[j])
-    return np.array([shifts[np.argmax(p2[gather] @ p1)]
-                     for p1, p2 in zip(profiles[:-1], profiles[1:])], dtype=np.int64)
+    nxt = profiles[1:]
+    # windows[t, k] == roll(nxt[t], -k), a strided view rather than a copy
+    windows = sliding_window_view(np.concatenate([nxt, nxt[:, :-1]], axis=1), w, axis=1)
+    dots = np.einsum("tkw,tw->tk", windows, profiles[:-1])
+    # columns in preference order, so the first maximum applies the tie rule
+    return shifts[np.argmax(dots[:, shifts % w], axis=1)]
 
 
 def score_motion(capture: SceneCapture) -> float:

@@ -163,6 +163,35 @@ def test_missing_file_is_corrupt(tmp_path):
         read_capture_dir(root)
 
 
+@pytest.mark.parametrize("name", ["frame_0003.pgm", "depth_0005.rsd"])
+@pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
+def test_stack_file_that_is_no_regular_file_is_missing(tmp_path, name, kind):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    (root / name).unlink()
+    if kind == "directory":
+        (root / name).mkdir()
+    else:
+        (root / name).symlink_to(tmp_path / "nowhere")
+    with pytest.raises(CaptureError, match=f"missing {name}"):
+        read_capture_dir(root)
+
+
+def test_symlinks_to_stack_files_read(tmp_path):
+    cap = generate_genuine_scene(1)
+    root = write_capture_dir(cap, tmp_path / "cap")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for name in ("frame_0003.pgm", "depth_0005.rsd"):
+        (root / name).rename(elsewhere / name)
+        (root / name).symlink_to(elsewhere / name)
+    assert read_capture_dir(root) == cap
+
+
+def test_audio_slower_than_frames_is_corrupt(low_rate_capture_dir):
+    with pytest.raises(CaptureError, match="sample_rate must be at least frame_rate"):
+        read_capture_dir(low_rate_capture_dir)
+
+
 def test_bad_magic_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     data = (root / "thermal.rst").read_bytes()

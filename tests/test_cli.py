@@ -163,6 +163,16 @@ def test_seal_corrupt_capture_is_data_error(tmp_path, capsys):
     assert "corrupt" in err
 
 
+def test_seal_audio_slower_than_frames_is_data_error(low_rate_capture_dir, tmp_path, capsys):
+    keys = tmp_path / "keys"
+    run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))
+    code, _, err = run(capsys, "seal", str(low_rate_capture_dir),
+                       "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and "sample_rate" in err
+    assert "Traceback" not in err
+
+
 def test_seal_json_emits_manifest(sealed_setup, tmp_path, capsys):
     code, out, _ = run(capsys, "seal", str(sealed_setup["capture"]),
                        "--key", str(sealed_setup["keys"] / "CAM-001.sk"),

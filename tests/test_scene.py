@@ -13,6 +13,7 @@ from realseal import (
     generate_scene,
     generate_screen_replay_scene,
 )
+from realseal.scene import _pan
 from realseal.scoring import motion_energy
 
 from oracles import plane_rms_normal_equations
@@ -157,6 +158,22 @@ def test_small_params_still_valid():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
         ScenarioParams(**kwargs)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_audio_slower_than_frames_is_refused(gen):
+    # 4 Hz audio under 8 fps video leaves every other frame window empty
+    with pytest.raises(CaptureError, match="sample_rate must be at least frame_rate"):
+        gen(1, ScenarioParams(sample_rate=4, frame_rate=8))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_pan_matches_per_frame_roll(dtype):
+    base = np.random.default_rng(4).integers(0, 256, size=(5, 7)).astype(dtype)
+    offsets = np.array([0, 1, 3, 6, 7, 9, 15, 22])  # from 7 on, offsets wrap the width
+    stack = _pan(base, offsets)
+    assert stack.dtype == dtype and stack.flags.c_contiguous
+    assert np.array_equal(stack, np.stack([np.roll(base, int(o), axis=1) for o in offsets]))
 
 
 # ---------------------------------------------------------------------------

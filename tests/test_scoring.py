@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from realseal import (
     AudioTrack,
     DimensionScores,
     ImuTrace,
+    ScenarioParams,
     SceneCapture,
     ThermalMap,
     aggregate,
@@ -14,6 +17,7 @@ from realseal import (
     fit_plane,
     flow_shift,
     generate_genuine_scene,
+    generate_scene,
     generate_printed_photo_scene,
     generate_screen_replay_scene,
     motion_energy,
@@ -335,6 +339,52 @@ def test_flow_shift_matches_reference_on_random_pans():
     got = list(flow_shift(_frames(*frames_px)))
     assert got == flow_shift_reference(frames_px)
     assert got == [1, 2, 3, 4, 2]
+
+
+LARGE = ScenarioParams(width=128, height=128, frame_count=32)
+
+
+@pytest.mark.parametrize("scenario", ["genuine", "screen-replay", "printed-photo"])
+def test_flow_shift_matches_reference_on_large_scenarios(scenario):
+    frames = generate_scene(scenario, 11, LARGE).frames
+    assert list(flow_shift(frames)) == flow_shift_reference(frames)
+
+
+def _random_stack(seed, shape):
+    return np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.uint8)
+
+
+def _constant_and_textured():
+    frames = _random_stack(3, (5, 4, 8))
+    frames[::2] = 9  # constant frames 0, 2 and 4 leave every correlation undefined
+    return frames
+
+
+@pytest.mark.parametrize("frames", [
+    _random_stack(1, (6, 4, 2)),  # w = 2: shifts -1 and +1 are the same roll
+    _random_stack(2, (6, 5, 9)),  # odd w
+    _constant_and_textured(),
+    # Column sums p1 = [4,2,7,7,5] and p2 = [14,9,16,3,8] have integer means, so
+    # the reference's float correlations are exact too: s = -2 and s = +2 both
+    # reach the maximum dot product 269, and the tie goes to the negative shift.
+    _frames([[1, 2, 3, 4, 2], [3, 0, 4, 3, 3]], [[9, 5, 8, 2, 5], [5, 4, 8, 1, 3]]),
+], ids=["w2", "odd-w", "constant-frames", "two-way-tie"])
+def test_flow_shift_matches_reference_on_random_stacks(frames):
+    assert list(flow_shift(frames)) == flow_shift_reference(frames)
+
+
+def test_flow_shift_peak_memory_below_one_mib():
+    # All 31 transitions of a 128-wide stack ranked against all 129 shifts
+    # at once would hold a 31 x 129 x 128 int64 gather, ~4 MiB.
+    frames = generate_scene("genuine", 1, LARGE).frames
+    flow_shift(frames)
+    tracemalloc.start()
+    try:
+        flow_shift(frames)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
