@@ -33,11 +33,8 @@ from .registry import (
 )
 from .rng import Rng64, rng_next
 from .scene import (
-    AudioTrack,
-    ImuTrace,
     SceneCapture,
     ScenarioParams,
-    ThermalMap,
     generate_genuine_scene,
     generate_printed_photo_scene,
     generate_scene,

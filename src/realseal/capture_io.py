@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CaptureError
 from .manifest import _is_int
-from .scene import AudioTrack, ImuTrace, SceneCapture, ThermalMap
+from .scene import SceneCapture
 
 _MAGIC_DEPTH = b"RSD1"
 _MAGIC_THERMAL = b"RST1"
@@ -93,32 +93,30 @@ def _decode_grid(magic: bytes, data: bytes, what: str) -> np.ndarray:
     return values.astype(np.float32, copy=False)
 
 
-def _encode_audio(track: AudioTrack) -> bytes:
-    return (_MAGIC_AUDIO + struct.pack("<II", track.sample_rate, track.samples.size)
-            + track.samples.astype("<f4", copy=False).tobytes())
+def _encode_audio(rate: int, samples: np.ndarray) -> bytes:
+    return (_MAGIC_AUDIO + struct.pack("<II", rate, samples.size)
+            + samples.astype("<f4", copy=False).tobytes())
 
-def _decode_audio(data: bytes) -> AudioTrack:
+def _decode_audio(data: bytes) -> tuple[int, np.ndarray]:
     if len(data) < 12 or data[:4] != _MAGIC_AUDIO:
         raise CaptureError("corrupt capture: bad audio header")
     rate, count = struct.unpack("<II", data[4:12])
     if rate == 0 or len(data) != 12 + 4 * count:
         raise CaptureError("corrupt capture: audio size mismatch")
-    samples = np.frombuffer(data, dtype="<f4", offset=12).astype(np.float32, copy=True)
-    return AudioTrack(int(rate), samples)
+    return rate, np.frombuffer(data, dtype="<f4", offset=12).astype(np.float32, copy=True)
 
 
-def _encode_imu(trace: ImuTrace) -> bytes:
-    return (_MAGIC_IMU + struct.pack("<I", trace.yaw_rates.size)
-            + trace.yaw_rates.astype("<f4", copy=False).tobytes())
+def _encode_imu(yaw_rates: np.ndarray) -> bytes:
+    return (_MAGIC_IMU + struct.pack("<I", yaw_rates.size)
+            + yaw_rates.astype("<f4", copy=False).tobytes())
 
-def _decode_imu(data: bytes) -> ImuTrace:
+def _decode_imu(data: bytes) -> np.ndarray:
     if len(data) < 8 or data[:4] != _MAGIC_IMU:
         raise CaptureError("corrupt capture: bad IMU header")
     (count,) = struct.unpack("<I", data[4:8])
     if len(data) != 8 + 4 * count:
         raise CaptureError("corrupt capture: IMU size mismatch")
-    values = np.frombuffer(data, dtype="<f4", offset=8).astype(np.float32, copy=True)
-    return ImuTrace(values)
+    return np.frombuffer(data, dtype="<f4", offset=8).astype(np.float32, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
         "frame_rate": capture.frame_rate,
         "height": capture.height,
         "pixels_per_radian": capture.pixels_per_radian,
-        "sample_rate": capture.audio.sample_rate,
+        "sample_rate": capture.sample_rate,
         "timestamp_unix": capture.timestamp_unix,
         "width": capture.width,
     }
@@ -174,10 +172,9 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
         _overwrite(os.path.join(root, f"frame_{i:04d}.pgm"), encode_frame_pgm(frame))
     for i, depth in enumerate(capture.depth_maps):
         _overwrite(os.path.join(root, f"depth_{i:04d}.rsd"), *_grid_parts(_MAGIC_DEPTH, depth))
-    _overwrite(os.path.join(root, "thermal.rst"),
-               *_grid_parts(_MAGIC_THERMAL, capture.thermal.temps))
-    _overwrite(os.path.join(root, "audio.rsa"), _encode_audio(capture.audio))
-    _overwrite(os.path.join(root, "imu.rsi"), _encode_imu(capture.imu))
+    _overwrite(os.path.join(root, "thermal.rst"), *_grid_parts(_MAGIC_THERMAL, capture.thermal))
+    _overwrite(os.path.join(root, "audio.rsa"), _encode_audio(capture.sample_rate, capture.audio))
+    _overwrite(os.path.join(root, "imu.rsi"), _encode_imu(capture.yaw_rates))
     return Path(root)
 
 
@@ -265,25 +262,25 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     frames = _read_stack(root, files, "frame_{:04d}.pgm", n, decode_frame_pgm)
     depth_maps = _read_stack(root, files, "depth_{:04d}.rsd", n,
                              lambda data: _decode_grid(_MAGIC_DEPTH, data, "depth"))
-    thermal = ThermalMap(_decode_grid(_MAGIC_THERMAL, _read_bytes(root, files, "thermal.rst"),
-                                       "thermal"))
-    audio = _decode_audio(_read_bytes(root, files, "audio.rsa"))
-    imu = _decode_imu(_read_bytes(root, files, "imu.rsi"))
+    thermal = _decode_grid(_MAGIC_THERMAL, _read_bytes(root, files, "thermal.rst"), "thermal")
+    sample_rate, audio = _decode_audio(_read_bytes(root, files, "audio.rsa"))
+    yaw_rates = _decode_imu(_read_bytes(root, files, "imu.rsi"))
 
     capture = SceneCapture(
         frames=frames,
         depth_maps=depth_maps,
         thermal=thermal,
         audio=audio,
-        imu=imu,
+        sample_rate=sample_rate,
+        yaw_rates=yaw_rates,
         frame_rate=meta["frame_rate"],
         device_id=meta["device_id"],
         timestamp_unix=meta["timestamp_unix"],
         location=location,
-        pixels_per_radian=float(ppr),
+        pixels_per_radian=ppr,
     )
     if (capture.width, capture.height) != (meta["width"], meta["height"]):
         raise CaptureError("corrupt capture: metadata dims disagree with frames")
-    if capture.audio.sample_rate != meta["sample_rate"]:
+    if capture.sample_rate != meta["sample_rate"]:
         raise CaptureError("corrupt capture: metadata sample_rate disagrees with audio")
     return capture

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ManifestError
+from .errors import ManifestError, RealSealError
 
 MANIFEST_VERSION = 1
 
@@ -43,6 +43,18 @@ _SCORE_KEYS = ("audio_sync", "depth", "motion", "overall", "thermal")
 
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The only input types the parsers take. bytes() of any other value is no
+# parse: it takes an int as a length and raises TypeError for a str or None.
+BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def _require_bytes(data: object, error: type[RealSealError], what: str) -> bytes:
+    """bytes(data), or error naming the type of a data that is not bytes-like."""
+    if not isinstance(data, BYTES_LIKE):
+        raise error(f"{what} must be bytes, bytearray or memoryview, not {type(data).__name__}")
+    return bytes(data)
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ def _require_int(obj: dict, key: str) -> int:
 
 def parse_manifest(data: bytes) -> RealismManifest:
     """Parse canonical manifest bytes; rejects anything non-canonical."""
-    data = bytes(data)
+    data = _require_bytes(data, ManifestError, "manifest")
     if len(data) > MAX_MANIFEST_LEN:
         raise ManifestError(f"malformed manifest: longer than {MAX_MANIFEST_LEN} bytes")
     try:
@@ -213,6 +225,6 @@ def parse_manifest(data: bytes) -> RealismManifest:
         location=location,
         version=_require_int(obj, "version"),
     )
-    if canonical_encode(manifest) != bytes(data):
+    if canonical_encode(manifest) != data:
         raise ManifestError("non-canonical manifest encoding")
     return manifest

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import RegistryError
-from .manifest import DEVICE_ID_RE
+from .manifest import DEVICE_ID_RE, _require_bytes
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
@@ -72,7 +72,7 @@ def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
 def load_registry(data: bytes) -> Registry:
     """Parse registry file bytes; errors carry 1-based line numbers."""
     try:
-        text = bytes(data).decode("utf-8")
+        text = _require_bytes(data, RegistryError, "registry").decode("utf-8")
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
     lineno = 0

@@ -29,6 +29,10 @@ from .scoring import motion_energy, window_bounds
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
 PIXELS_PER_RADIAN = 64.0
+# 1e6 px/rad is a 1 microradian pixel (a 2 m lens with 2 um pixels). The
+# bound keeps the gyro series, yaw rate * pixels_per_radian, far from
+# float64 overflow even at float32-extreme yaw rates.
+MAX_PIXELS_PER_RADIAN = 1e6
 
 _DEFAULT_TIMESTAMP = 1_700_000_000
 
@@ -40,100 +44,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# ---------------------------------------------------------------------------
-# Capture component types
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class ThermalMap:
-    """Per-pixel temperature in degrees Celsius, float32, shape (height, width)."""
-
-    temps: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.temps)
-        if arr.dtype != np.float32:
-            raise CaptureError("temps must be float32")
-        if arr.ndim != 2 or arr.size == 0:
-            raise CaptureError("thermal map must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise CaptureError("temps must be finite")
-        if arr.min() < -40.0 or arr.max() > 150.0:
-            raise CaptureError("temps must lie within [-40, 150] C")
-        self.temps = _freeze(arr)
-
-    @property
-    def height(self) -> int:
-        return self.temps.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.temps.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ThermalMap) and np.array_equal(self.temps, other.temps)
-
-
-@dataclass(eq=False)
-class AudioTrack:
-    """Mono audio: integer sample rate plus float32 samples in [-1, 1]."""
-
-    sample_rate: int
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.sample_rate) or self.sample_rate <= 0:
-            raise CaptureError("sample_rate must be a positive integer")
-        arr = np.asarray(self.samples)
-        if arr.dtype != np.float32 or arr.ndim != 1:
-            raise CaptureError("samples must be a 1-D float32 array")
-        if arr.size and (not np.all(np.isfinite(arr)) or np.abs(arr).max() > 1.0):
-            raise CaptureError("samples must be finite and within [-1, 1]")
-        self.samples = _freeze(arr)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AudioTrack)
-            and self.sample_rate == other.sample_rate
-            and np.array_equal(self.samples, other.samples)
-        )
-
-
-@dataclass(eq=False)
-class ImuTrace:
-    """Gyro yaw rate sampled once per video frame, radians/second, float32."""
-
-    yaw_rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.yaw_rates)
-        if arr.dtype != np.float32 or arr.ndim != 1:
-            raise CaptureError("yaw_rates must be a 1-D float32 array")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise CaptureError("yaw_rates must be finite")
-        self.yaw_rates = _freeze(arr)
-
-    def __len__(self) -> int:
-        return int(self.yaw_rates.size)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ImuTrace) and np.array_equal(self.yaw_rates, other.yaw_rates)
-
-
 @dataclass(eq=False)
 class SceneCapture:
     """One synchronized multisensory recording plus device identity.
 
-    ``frames`` is an (F,H,W) uint8 luminance stack and ``depth_maps`` an
-    (F,H,W) float32 stack of per-pixel scene distances in meters; both are
-    held read-only.
+    Every sensor is a read-only array:
+
+    * ``frames``     - (F,H,W) uint8 luminance stack
+    * ``depth_maps`` - (F,H,W) float32 scene distances in meters
+    * ``thermal``    - 2-D float32 temperatures in degrees Celsius
+    * ``audio``      - 1-D float32 mono samples in [-1, 1] at ``sample_rate`` Hz
+    * ``yaw_rates``  - float32 gyro yaw rate in radians/second, one per frame
     """
 
     frames: np.ndarray
     depth_maps: np.ndarray
-    thermal: ThermalMap
-    audio: AudioTrack
-    imu: ImuTrace
+    thermal: np.ndarray
+    audio: np.ndarray
+    sample_rate: int
+    yaw_rates: np.ndarray
     frame_rate: int
     device_id: str
     timestamp_unix: int
@@ -143,6 +72,9 @@ class SceneCapture:
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames)
         depths = np.asarray(self.depth_maps)
+        temps = np.asarray(self.thermal)
+        samples = np.asarray(self.audio)
+        yaw = np.asarray(self.yaw_rates)
         if frames.dtype != np.uint8:
             raise CaptureError("frame pixels must be uint8")
         if frames.ndim != 3 or frames.shape[0] == 0 or min(frames.shape[1:]) < 2:
@@ -154,17 +86,39 @@ class SceneCapture:
         # min and max propagate NaN, so this also rejects NaN
         if not (depths.min() > 0.0 and np.isfinite(depths.max())):
             raise CaptureError("depths must be finite and positive")
+        if temps.dtype != np.float32:
+            raise CaptureError("temps must be float32")
+        if temps.ndim != 2 or temps.size == 0:
+            raise CaptureError("thermal map must be a non-empty 2-D array")
+        lo, hi = temps.min(), temps.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise CaptureError("temps must be finite")
+        if lo < -40.0 or hi > 150.0:
+            raise CaptureError("temps must lie within [-40, 150] C")
+        if not _is_int(self.sample_rate) or self.sample_rate <= 0:
+            raise CaptureError("sample_rate must be a positive integer")
+        if samples.dtype != np.float32 or samples.ndim != 1:
+            raise CaptureError("samples must be a 1-D float32 array")
+        if not np.abs(samples).max(initial=0.0) <= 1.0:
+            raise CaptureError("samples must be finite and within [-1, 1]")
+        if yaw.dtype != np.float32 or yaw.ndim != 1:
+            raise CaptureError("yaw_rates must be a 1-D float32 array")
+        if not np.all(np.isfinite(yaw)):
+            raise CaptureError("yaw_rates must be finite")
         self.frames = _freeze(frames)
         self.depth_maps = _freeze(depths)
+        self.thermal = _freeze(temps)
+        self.audio = _freeze(samples)
+        self.yaw_rates = _freeze(yaw)
         if not _is_int(self.frame_rate) or self.frame_rate <= 0:
             raise CaptureError("frame_rate must be a positive integer")
-        if len(self.imu) != self.frame_count:
+        if yaw.size != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
         # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
-        if self.audio.sample_rate < self.frame_rate:
+        if self.sample_rate < self.frame_rate:
             raise CaptureError("audio sample_rate must be at least frame_rate")
         # audio must cover the frame span: samples/rate >= frames/frame_rate
-        if self.audio.samples.size * self.frame_rate < self.frame_count * self.audio.sample_rate:
+        if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
             raise CaptureError("audio shorter than the frame span")
         if not DEVICE_ID_RE.match(self.device_id):
             raise CaptureError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
@@ -177,8 +131,10 @@ class SceneCapture:
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise CaptureError("location out of range")
             self.location = (lat, lon)
-        if not (np.isfinite(self.pixels_per_radian) and self.pixels_per_radian > 0):
-            raise CaptureError("pixels_per_radian must be positive")
+        # a NaN fails both comparisons
+        if not 0.0 < self.pixels_per_radian <= MAX_PIXELS_PER_RADIAN:
+            raise CaptureError("pixels_per_radian must lie within (0, 1e6]")
+        self.pixels_per_radian = float(self.pixels_per_radian)
 
     @property
     def frame_count(self) -> int:
@@ -198,9 +154,10 @@ class SceneCapture:
         return (
             np.array_equal(self.frames, other.frames)
             and np.array_equal(self.depth_maps, other.depth_maps)
-            and self.thermal == other.thermal
-            and self.audio == other.audio
-            and self.imu == other.imu
+            and np.array_equal(self.thermal, other.thermal)
+            and np.array_equal(self.audio, other.audio)
+            and self.sample_rate == other.sample_rate
+            and np.array_equal(self.yaw_rates, other.yaw_rates)
             and self.frame_rate == other.frame_rate
             and self.device_id == other.device_id
             and self.timestamp_unix == other.timestamp_unix
@@ -269,11 +226,11 @@ def _imu_for_shifts(shifts: np.ndarray, pixels_per_radian: float) -> np.ndarray:
 
 
 def _audio_from_envelope(env: np.ndarray, frame_count: int, frame_rate: int,
-                         sample_rate: int) -> AudioTrack:
+                         sample_rate: int) -> np.ndarray:
     """Alternating-sign carrier whose per-window RMS equals env[k] exactly."""
     samples = np.repeat(env, np.diff(window_bounds(frame_count, frame_rate, sample_rate)))
     samples[1::2] *= -1.0
-    return AudioTrack(sample_rate, samples.astype(np.float32))
+    return samples.astype(np.float32)
 
 
 def _noise(seed: int, width: int, height: int, half_range: float) -> np.ndarray:
@@ -303,10 +260,10 @@ def _tilted_plane(stream: Stream, params: ScenarioParams) -> np.ndarray:
     return plane.astype(np.float32)
 
 
-def _uniform_thermal(seed: int, level_c: float, params: ScenarioParams) -> ThermalMap:
+def _uniform_thermal(seed: int, level_c: float, params: ScenarioParams) -> np.ndarray:
     # +-0.02 C synthetic sensor noise: population std stays below 0.05 C.
     temps = level_c + _noise(seed, params.width, params.height, 0.02)
-    return ThermalMap(temps.astype(np.float32))
+    return temps.astype(np.float32)
 
 
 def _location(stream: Stream) -> tuple[int, int]:
@@ -364,9 +321,6 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
         thermal_seed, params.width, params.height, 0.1)
     temps[rect] = params.body_temp_c + _noise(
         thermal_seed ^ 0xA5A5A5A5, params.width, params.height, 0.2)[rect]
-    thermal = ThermalMap(temps.astype(np.float32))
-
-    imu = ImuTrace(_imu_for_shifts(shifts, PIXELS_PER_RADIAN))
 
     # Sound follows the visuals: window k+1 carries the energy of the
     # transition into frame k+1, matching the scorer's envelope alignment.
@@ -377,9 +331,10 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     return SceneCapture(
         frames=frames,
         depth_maps=depth_maps,
-        thermal=thermal,
+        thermal=temps.astype(np.float32),
         audio=audio,
-        imu=imu,
+        sample_rate=params.sample_rate,
+        yaw_rates=_imu_for_shifts(shifts, PIXELS_PER_RADIAN),
         frame_rate=params.frame_rate,
         device_id=f"SIM-GEN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,
@@ -407,7 +362,6 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
 
     thermal = _uniform_thermal(thermal_seed, params.screen_temp_c, params)
-    imu = ImuTrace(_imu_for_shifts(shifts, PIXELS_PER_RADIAN))
 
     # Independent substream: envelope uncorrelated with motion energy.
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
@@ -418,7 +372,8 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
         depth_maps=depth_maps,
         thermal=thermal,
         audio=audio,
-        imu=imu,
+        sample_rate=params.sample_rate,
+        yaw_rates=_imu_for_shifts(shifts, PIXELS_PER_RADIAN),
         frame_rate=params.frame_rate,
         device_id=f"SIM-SCR-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,
@@ -443,7 +398,6 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
     depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
 
     thermal = _uniform_thermal(thermal_seed, params.ambient_temp_c, params)
-    imu = ImuTrace(np.zeros(params.frame_count, dtype=np.float32))
 
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
     audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
@@ -453,7 +407,8 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
         depth_maps=depth_maps,
         thermal=thermal,
         audio=audio,
-        imu=imu,
+        sample_rate=params.sample_rate,
+        yaw_rates=np.zeros(params.frame_count, dtype=np.float32),
         frame_rate=params.frame_rate,
         device_id=f"SIM-PRN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:  # scene imports this module, so no runtime import back
-    from .scene import AudioTrack, SceneCapture, ThermalMap
+    from .scene import SceneCapture
 
 _ZERO_MOTION_EPS = 1e-9
 
@@ -99,9 +99,9 @@ def score_depth(depths: np.ndarray) -> float:
 # Thermal
 # ---------------------------------------------------------------------------
 
-def score_thermal(thermal: ThermalMap) -> float:
-    """1 - exp(-sigma/tau) over the population std of the temperature map."""
-    sigma = float(np.std(thermal.temps.astype(np.float64)))
+def score_thermal(temps: np.ndarray) -> float:
+    """1 - exp(-sigma/tau) over the population std of a 2-D temperature map."""
+    sigma = float(np.std(np.asarray(temps, dtype=np.float64)))
     return 1.0 - math.exp(-sigma / _TAU_THERMAL_C)
 
 
@@ -115,17 +115,19 @@ def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.nda
     return -(-(k * sample_rate) // frame_rate)
 
 
-def audio_envelope(audio: AudioTrack, frame_rate: int, frame_count: int) -> np.ndarray:
+def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
+                   frame_count: int) -> np.ndarray:
     """Per-frame RMS of the samples in [k/frame_rate, (k+1)/frame_rate)."""
-    if frame_rate <= 0 or frame_count <= 0:
-        raise ValueError("frame_rate and frame_count must be positive")
-    bounds = window_bounds(frame_count, frame_rate, audio.sample_rate)
-    if bounds[-1] > audio.samples.size:
+    if sample_rate <= 0 or frame_rate <= 0 or frame_count <= 0:
+        raise ValueError("sample_rate, frame_rate and frame_count must be positive")
+    samples = np.asarray(samples)
+    bounds = window_bounds(frame_count, frame_rate, sample_rate)
+    if bounds[-1] > samples.size:
         raise ValueError("insufficient audio samples for the frame span")
     widths = np.diff(bounds)
     if np.any(widths == 0):
         raise ValueError("frame window shorter than one audio sample")
-    x = audio.samples[:bounds[-1]].astype(np.float64)
+    x = samples[:bounds[-1]].astype(np.float64)
     return np.sqrt(np.add.reduceat(x * x, bounds[:-1]) / widths)
 
 
@@ -211,7 +213,8 @@ def score_av_alignment(envelope_tail, motion) -> float:
 
 
 def score_audio_sync(capture: SceneCapture) -> float:
-    env = audio_envelope(capture.audio, capture.frame_rate, capture.frame_count)
+    env = audio_envelope(capture.audio, capture.sample_rate, capture.frame_rate,
+                         capture.frame_count)
     m = motion_energy(capture.frames)
     # env[k+1] lines up with the transition into frame k+1
     return score_av_alignment(env[1:], m)
@@ -234,9 +237,10 @@ def flow_shift(frames) -> np.ndarray:
     does. All transitions are ranked by one int64 product against the
     circulant of each next profile; being exact, it keeps exact ties exact
     (no overflow while w * (255 * h)**2 < 2**63), and a constant profile
-    ties every shift and yields 0.
+    ties every shift and yields 0. The column sums are taken in uint32, then
+    widened: 255 * h < 2**32 already follows from that bound for any w >= 2.
     """
-    profiles = _frame_stack(frames).sum(axis=1, dtype=np.int64)
+    profiles = _frame_stack(frames).sum(axis=1, dtype=np.uint32).astype(np.int64)
     w = profiles.shape[1]
     shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
     nxt = profiles[1:]
@@ -255,7 +259,7 @@ def score_motion(capture: SceneCapture) -> float:
     1.0; any one-sided claim of motion scores 0.0.
     """
     f = flow_shift(capture.frames).astype(np.float64)
-    u = capture.imu.yaw_rates.astype(np.float64)
+    u = capture.yaw_rates.astype(np.float64)
     if u.size != capture.frame_count:
         raise ValueError("IMU length mismatch")
     g = (u[:-1] + u[1:]) / 2.0 * capture.pixels_per_radian

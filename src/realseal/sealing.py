@@ -24,9 +24,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .errors import ManifestError, RealSealError, SidecarError
 from .manifest import (
+    BYTES_LIKE,
     DEVICE_ID_RE,
     ManifestScores,
     RealismManifest,
+    _require_bytes,
     canonical_encode,
     parse_manifest,
     quantize_score,
@@ -70,6 +72,11 @@ class VerificationReport:
     device_trusted: bool
     manifest: RealismManifest | None
     verdict: str
+
+
+_MALFORMED_REPORT = VerificationReport(
+    signature_valid=False, image_hash_match=False, device_trusted=False,
+    manifest=None, verdict=VERDICT_MALFORMED)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def write_sidecar(bundle: SealedBundle) -> bytes:
 
 def read_sidecar(data: bytes) -> tuple[RealismManifest, bytes]:
     """Parse sidecar bytes into (manifest, signature); strict, no trailing."""
-    data = bytes(data)
+    data = _require_bytes(data, SidecarError, "sidecar")
     if len(data) < 4:
         raise SidecarError("truncated sidecar")
     if data[:4] != _SIDECAR_MAGIC:
@@ -192,16 +199,19 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
 
     Never raises: every failure mode maps to a verdict, with precedence
     malformed > unknown_device > tampered_manifest > tampered_image >
-    untrusted_device > authentic.
+    untrusted_device > authentic. An image or sidecar that is not bytes,
+    bytearray or memoryview is malformed.
     """
+    if not isinstance(image_bytes, BYTES_LIKE):
+        return _MALFORMED_REPORT
     try:
         manifest, signature = read_sidecar(sidecar_bytes)
     except (SidecarError, ManifestError):
-        return VerificationReport(
-            signature_valid=False, image_hash_match=False, device_trusted=False,
-            manifest=None, verdict=VERDICT_MALFORMED)
+        return _MALFORMED_REPORT
 
-    hash_match = image_hash(image_bytes) == manifest.image_sha256
+    # bytes() of bytes is the object itself; a strided memoryview is copied,
+    # since hashlib takes only contiguous buffers
+    hash_match = image_hash(bytes(image_bytes)) == manifest.image_sha256
     entry = lookup(registry, manifest.device_id)
     if entry is None:
         return VerificationReport(
@@ -245,25 +255,17 @@ def write_keypair_files(pair: DeviceKeyPair, directory: str | Path,
     return sk, pk
 
 
-def _read_hex32(path: Path, what: str) -> bytes:
-    try:
-        text = path.read_text(encoding="ascii").strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RealSealError(f"cannot read {what} file {path}: {exc}") from None
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        raise RealSealError(f"{what} file {path} is not valid hex") from None
-    if len(raw) != 32:
-        raise RealSealError(f"{what} file {path} must hold 32 octets of hex")
-    return raw
-
-
 def load_keypair_file(path: str | Path) -> DeviceKeyPair:
     """Load a secret key file; the device id is the file stem."""
     p = Path(path)
-    return keygen(p.stem, _read_hex32(p, "secret key"))
-
-
-def load_public_key_file(path: str | Path) -> bytes:
-    return _read_hex32(Path(path), "public key")
+    try:
+        text = p.read_text(encoding="ascii").strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RealSealError(f"cannot read secret key file {p}: {exc}") from None
+    try:
+        seed = bytes.fromhex(text)
+    except ValueError:
+        raise RealSealError(f"secret key file {p} is not valid hex") from None
+    if len(seed) != SEED_LEN:
+        raise RealSealError(f"secret key file {p} must hold 32 octets of hex")
+    return keygen(p.stem, seed)

@@ -12,7 +12,6 @@ from realseal import (
     DimensionScores,
     Registry,
     RegistryEntry,
-    ThermalMap,
     TRUSTED,
     canonical_encode,
     fit_plane,
@@ -193,7 +192,7 @@ def test_criterion_4_scorer_oracles(capsys):
 def test_criterion_5_worked_fixtures(capsys):
     t = np.full((4, 4), 36.0, dtype=np.float32)
     t[:, 2:] = 38.0
-    thermal = score_thermal(ThermalMap(t))
+    thermal = score_thermal(t)
 
     m = np.array([1.0, 2.0, 4.0, 8.0, 9.0, 12.0, 15.0])
     avsync = score_av_alignment(np.concatenate([[5.0], m[:-1]]), m)

@@ -218,6 +218,27 @@ def test_boolean_pixels_per_radian_is_corrupt(tmp_path):
         read_capture_dir(root)
 
 
+@pytest.mark.parametrize("ppr", ["1e300", "1" + "0" * 400], ids=["1e300", "10**400"])
+def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    meta = (root / "capture.json").read_text()
+    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
+                                                    f'"pixels_per_radian":{ppr}'))
+    with pytest.raises(CaptureError, match="pixels_per_radian"):
+        read_capture_dir(root)
+
+
+def test_integer_pixels_per_radian_reads_as_float(tmp_path):
+    cap = generate_genuine_scene(1)
+    root = write_capture_dir(cap, tmp_path / "cap")
+    meta = (root / "capture.json").read_text()
+    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
+                                                    '"pixels_per_radian":64'))
+    back = read_capture_dir(root)
+    assert type(back.pixels_per_radian) is float and back == cap
+    assert (write_capture_dir(back, tmp_path / "again") / "capture.json").read_text() == meta
+
+
 def test_non_finite_values_rejected(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     data = bytearray((root / "depth_0000.rsd").read_bytes())

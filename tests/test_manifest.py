@@ -232,6 +232,17 @@ def test_parse_rejects_non_object():
         parse_manifest(b"[1,2,3]")
 
 
+@pytest.mark.parametrize("data", [MINIMAL_BYTES.decode(), None, 5], ids=["str", "None", "int"])
+def test_parse_refuses_what_is_not_bytes(data):
+    with pytest.raises(ManifestError, match=type(data).__name__):
+        parse_manifest(data)
+
+
+def test_parse_accepts_every_bytes_like_form():
+    for kind in (bytearray, memoryview):
+        assert parse_manifest(kind(MINIMAL_BYTES)) == MINIMAL
+
+
 # ---------------------------------------------------------------------------
 # manifest field validation
 # ---------------------------------------------------------------------------

@@ -133,3 +133,14 @@ def test_add_entry_rejects_duplicates():
 def test_not_utf8_rejected():
     with pytest.raises(RegistryError, match="UTF-8"):
         load_registry(b"\xff\xfe\x00")
+
+
+@pytest.mark.parametrize("data", [CANONICAL.decode(), None, 5], ids=["str", "None", "int"])
+def test_load_refuses_what_is_not_bytes(data):
+    with pytest.raises(RegistryError, match=type(data).__name__):
+        load_registry(data)
+
+
+def test_load_accepts_every_bytes_like_form():
+    for kind in (bytearray, memoryview):
+        assert save_registry(load_registry(kind(CANONICAL))) == CANONICAL

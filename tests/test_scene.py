@@ -1,13 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from realseal import (
-    AudioTrack,
     CaptureError,
-    ImuTrace,
     SceneCapture,
     ScenarioParams,
-    ThermalMap,
     generate_genuine_scene,
     generate_printed_photo_scene,
     generate_scene,
@@ -40,12 +39,12 @@ def test_different_seeds_differ(gen):
 def test_capture_invariants(gen, seed):
     cap = gen(seed)
     n = cap.frame_count
-    assert n == 16 and len(cap.depth_maps) == n and len(cap.imu) == n
+    assert n == 16 and len(cap.depth_maps) == n and len(cap.yaw_rates) == n
     assert cap.frames.shape == (n, cap.height, cap.width) and cap.frames.dtype == np.uint8
     assert cap.depth_maps.shape == cap.frames.shape and cap.depth_maps.dtype == np.float32
     # audio covers the frame span
-    assert cap.audio.samples.size * cap.frame_rate >= n * cap.audio.sample_rate
-    assert np.abs(cap.audio.samples).max() <= 1.0
+    assert cap.audio.size * cap.frame_rate >= n * cap.sample_rate
+    assert np.abs(cap.audio).max() <= 1.0
     lat, lon = cap.location
     assert abs(lat) <= 90_000_000 and abs(lon) <= 180_000_000
 
@@ -68,14 +67,14 @@ def test_genuine_has_two_depth_layers_far_apart():
 
 def test_genuine_thermal_spread():
     cap = generate_genuine_scene(42)
-    assert float(np.std(cap.thermal.temps.astype(np.float64))) >= 3.0
+    assert float(np.std(cap.thermal.astype(np.float64))) >= 3.0
 
 
 def test_genuine_audio_envelope_tracks_motion():
     cap = generate_genuine_scene(42)
     m = motion_energy(cap.frames)
-    sr, fr = cap.audio.sample_rate, cap.frame_rate
-    x = cap.audio.samples.astype(np.float64)
+    sr, fr = cap.sample_rate, cap.frame_rate
+    x = cap.audio.astype(np.float64)
     for k in range(1, cap.frame_count):
         lo = -(-(k * sr) // fr)
         hi = -(-((k + 1) * sr) // fr)
@@ -96,7 +95,7 @@ def test_screen_replay_depth_planar_everywhere():
 def test_screen_replay_thermal_uniform_at_body_heat():
     # a filmed display reads as one flat 37 C surface
     cap = generate_screen_replay_scene(7)
-    t = cap.thermal.temps.astype(np.float64)
+    t = cap.thermal.astype(np.float64)
     assert float(np.std(t)) <= 0.05
     assert t.mean() == pytest.approx(37.0, abs=0.05)
 
@@ -104,12 +103,12 @@ def test_screen_replay_thermal_uniform_at_body_heat():
 def test_printed_photo_static_frames():
     cap = generate_printed_photo_scene(7)
     assert np.all(motion_energy(cap.frames) == 0.0)
-    assert np.all(cap.imu.yaw_rates == 0.0)
+    assert np.all(cap.yaw_rates == 0.0)
 
 
 def test_printed_photo_thermal_ambient_and_planar_depth():
     cap = generate_printed_photo_scene(7)
-    t = cap.thermal.temps.astype(np.float64)
+    t = cap.thermal.astype(np.float64)
     assert float(np.std(t)) <= 0.05
     assert t.mean() == pytest.approx(20.0, abs=0.05)
     assert plane_rms_normal_equations(cap.depth_maps[0]) <= 1e-3
@@ -117,7 +116,7 @@ def test_printed_photo_thermal_ambient_and_planar_depth():
 
 def test_printed_photo_audio_has_energy():
     cap = generate_printed_photo_scene(7)
-    assert float(np.abs(cap.audio.samples).max()) > 0.05
+    assert float(np.abs(cap.audio).max()) > 0.05
 
 
 def test_scenario_separation_across_seeds():
@@ -186,9 +185,10 @@ def _with_stacks(frames, depth_maps) -> SceneCapture:
     return SceneCapture(
         frames=frames,
         depth_maps=depth_maps,
-        thermal=ThermalMap(np.full((h, w), 20.0, dtype=np.float32)),
-        audio=AudioTrack(80, np.zeros(10 * n, dtype=np.float32)),
-        imu=ImuTrace(np.zeros(n, dtype=np.float32)),
+        thermal=np.full((h, w), 20.0, dtype=np.float32),
+        audio=np.zeros(10 * n, dtype=np.float32),
+        sample_rate=80,
+        yaw_rates=np.zeros(n, dtype=np.float32),
         frame_rate=8,
         device_id="T-1",
         timestamp_unix=0,
@@ -218,19 +218,34 @@ def test_depth_map_validation():
 
 
 def test_thermal_map_validation():
-    with pytest.raises(CaptureError):
-        ThermalMap(np.full((2, 2), 200.0, dtype=np.float32))
-    with pytest.raises(CaptureError):
-        ThermalMap(np.full((2, 2), -50.0, dtype=np.float32))
+    cap = generate_genuine_scene(1)
+    with pytest.raises(CaptureError, match="temps must lie within"):
+        dataclasses.replace(cap, thermal=np.full((2, 2), 200.0, dtype=np.float32))
+    with pytest.raises(CaptureError, match="temps must lie within"):
+        dataclasses.replace(cap, thermal=np.full((2, 2), -50.0, dtype=np.float32))
 
 
 def test_audio_track_validation():
-    with pytest.raises(CaptureError):
-        AudioTrack(0, np.zeros(4, dtype=np.float32))
-    with pytest.raises(CaptureError):
-        AudioTrack(True, np.zeros(4, dtype=np.float32))
-    with pytest.raises(CaptureError):
-        AudioTrack(8000, np.array([2.0], dtype=np.float32))
+    cap = generate_genuine_scene(1)
+    with pytest.raises(CaptureError, match="sample_rate must be a positive integer"):
+        dataclasses.replace(cap, sample_rate=0)
+    with pytest.raises(CaptureError, match="sample_rate must be a positive integer"):
+        dataclasses.replace(cap, sample_rate=True)
+    for bad in (2.0, np.nan):
+        samples = cap.audio.copy()
+        samples[-1] = bad
+        with pytest.raises(CaptureError, match="samples must be finite and within"):
+            dataclasses.replace(cap, audio=samples)
+
+
+def test_yaw_rates_validation():
+    cap = generate_genuine_scene(1)
+    with pytest.raises(CaptureError, match="yaw_rates must be a 1-D float32 array"):
+        dataclasses.replace(cap, yaw_rates=cap.yaw_rates.astype(np.float64))
+    bad = cap.yaw_rates.copy()
+    bad[3] = np.nan
+    with pytest.raises(CaptureError, match="yaw_rates must be finite"):
+        dataclasses.replace(cap, yaw_rates=bad)
 
 
 def test_capture_cross_validation():
@@ -241,7 +256,8 @@ def test_capture_cross_validation():
             depth_maps=cap.depth_maps[:-1],  # one short
             thermal=cap.thermal,
             audio=cap.audio,
-            imu=cap.imu,
+            sample_rate=cap.sample_rate,
+            yaw_rates=cap.yaw_rates,
             frame_rate=cap.frame_rate,
             device_id=cap.device_id,
             timestamp_unix=cap.timestamp_unix,
@@ -251,8 +267,9 @@ def test_capture_cross_validation():
             frames=cap.frames,
             depth_maps=cap.depth_maps,
             thermal=cap.thermal,
-            audio=AudioTrack(8000, np.zeros(100, dtype=np.float32)),  # too short
-            imu=cap.imu,
+            audio=np.zeros(100, dtype=np.float32),  # too short
+            sample_rate=cap.sample_rate,
+            yaw_rates=cap.yaw_rates,
             frame_rate=cap.frame_rate,
             device_id=cap.device_id,
             timestamp_unix=cap.timestamp_unix,
@@ -263,7 +280,8 @@ def test_capture_cross_validation():
             depth_maps=cap.depth_maps,
             thermal=cap.thermal,
             audio=cap.audio,
-            imu=cap.imu,
+            sample_rate=cap.sample_rate,
+            yaw_rates=cap.yaw_rates,
             frame_rate=cap.frame_rate,
             device_id="no spaces allowed",
             timestamp_unix=cap.timestamp_unix,
@@ -274,12 +292,21 @@ def test_capture_cross_validation():
             depth_maps=cap.depth_maps,
             thermal=cap.thermal,
             audio=cap.audio,
-            imu=cap.imu,
+            sample_rate=cap.sample_rate,
+            yaw_rates=cap.yaw_rates,
             frame_rate=cap.frame_rate,
             device_id=cap.device_id,
             timestamp_unix=cap.timestamp_unix,
             location=(91_000_000, 0),
         )
+
+
+@pytest.mark.parametrize("ppr", [0.0, -64.0, np.nan, np.inf, 1e300, np.nextafter(1e6, 2e6)])
+def test_pixels_per_radian_out_of_range_is_refused(ppr):
+    cap = generate_genuine_scene(1)
+    assert dataclasses.replace(cap, pixels_per_radian=1e6).pixels_per_radian == 1e6
+    with pytest.raises(CaptureError, match="pixels_per_radian"):
+        dataclasses.replace(cap, pixels_per_radian=ppr)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -294,9 +321,10 @@ def test_capture_integers_refuse_booleans(kwargs):
     base = dict(
         frames=np.zeros((n, 2, 2), dtype=np.uint8),
         depth_maps=np.full((n, 2, 2), 2.0, dtype=np.float32),
-        thermal=ThermalMap(np.full((2, 2), 20.0, dtype=np.float32)),
-        audio=AudioTrack(1, np.zeros(n, dtype=np.float32)),
-        imu=ImuTrace(np.zeros(n, dtype=np.float32)),
+        thermal=np.full((2, 2), 20.0, dtype=np.float32),
+        audio=np.zeros(n, dtype=np.float32),
+        sample_rate=1,
+        yaw_rates=np.zeros(n, dtype=np.float32),
         frame_rate=1,
         device_id="T-1",
         timestamp_unix=1,
@@ -314,3 +342,23 @@ def test_arrays_are_frozen():
         cap.frames[0][0, 0] = 1
     with pytest.raises(ValueError):
         cap.depth_maps[3, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cap.thermal[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cap.audio[0] = 0.0
+    with pytest.raises(ValueError):
+        cap.yaw_rates[0] = 0.0
+
+
+@pytest.mark.parametrize("field", ["thermal", "audio", "sample_rate", "yaw_rates"])
+def test_captures_differing_in_one_sensor_are_unequal(field):
+    cap = generate_genuine_scene(1)
+    changed = {
+        "thermal": cap.thermal + np.float32(1.0),
+        "audio": -cap.audio,
+        "sample_rate": cap.sample_rate // 2,
+        "yaw_rates": cap.yaw_rates * np.float32(2.0),
+    }[field]
+    other = dataclasses.replace(cap, **{field: changed})
+    assert other != cap and cap != other
+    assert dataclasses.replace(cap) == cap

@@ -1,16 +1,14 @@
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from realseal import (
-    AudioTrack,
     DimensionScores,
-    ImuTrace,
     ScenarioParams,
     SceneCapture,
-    ThermalMap,
     aggregate,
     audio_envelope,
     best_lag_correlation,
@@ -122,21 +120,21 @@ def test_score_depth_strictly_increasing_in_residual():
 # ---------------------------------------------------------------------------
 
 def test_score_thermal_uniform_is_zero():
-    assert score_thermal(ThermalMap(np.full((4, 4), 37.0, dtype=np.float32))) == 0.0
-    assert score_thermal(ThermalMap(np.full((4, 4), 20.0, dtype=np.float32))) == 0.0
+    assert score_thermal(np.full((4, 4), 37.0, dtype=np.float32)) == 0.0
+    assert score_thermal(np.full((4, 4), 20.0, dtype=np.float32)) == 0.0
 
 
 def test_score_thermal_half_split_fixture():
     t = np.full((4, 4), 36.0, dtype=np.float32)
     t[:, 2:] = 38.0
-    assert score_thermal(ThermalMap(t)) == pytest.approx(HALF_SPLIT_THERMAL_SCORE, abs=1e-9)
+    assert score_thermal(t) == pytest.approx(HALF_SPLIT_THERMAL_SCORE, abs=1e-9)
 
 
 def test_score_thermal_increasing_in_spread():
     def split(delta):
         t = np.full((4, 4), 30.0 - delta, dtype=np.float32)
         t[:, 2:] = 30.0 + delta
-        return score_thermal(ThermalMap(t))
+        return score_thermal(t)
     scores = [split(d) for d in (0.5, 1.0, 2.0, 4.0)]
     assert all(a < b for a, b in zip(scores, scores[1:]))
 
@@ -146,29 +144,29 @@ def test_score_thermal_increasing_in_spread():
 # ---------------------------------------------------------------------------
 
 def test_envelope_silent_track():
-    audio = AudioTrack(80, np.zeros(80, dtype=np.float32))
-    assert np.all(audio_envelope(audio, 8, 8) == 0.0)
+    samples = np.zeros(80, dtype=np.float32)
+    assert np.all(audio_envelope(samples, 80, 8, 8) == 0.0)
 
 
 def test_envelope_constant_amplitude():
-    audio = AudioTrack(80, np.full(80, 0.5, dtype=np.float32))
-    env = audio_envelope(audio, 8, 8)
+    samples = np.full(80, 0.5, dtype=np.float32)
+    env = audio_envelope(samples, 80, 8, 8)
     assert env == pytest.approx(np.full(8, 0.5), abs=1e-6)
 
 
 def test_envelope_unit_sine_window():
     k = np.arange(64)
     samples = np.sin(2 * np.pi * k / 64).astype(np.float32)
-    env = audio_envelope(AudioTrack(64, samples), 1, 1)
+    env = audio_envelope(samples, 64, 1, 1)
     expected = float(np.sqrt(np.mean(samples.astype(np.float64) ** 2)))
     assert env[0] == pytest.approx(expected, abs=1e-12)
     assert env[0] == pytest.approx(0.7071, abs=1e-4)
 
 
 def test_envelope_windows_partition_oddly_divided_samples():
-    audio = AudioTrack(10, np.arange(10, dtype=np.float32) / 10.0)
-    env = audio_envelope(audio, 3, 3)  # bounds 0,4,7,10
-    x = audio.samples.astype(np.float64)
+    samples = np.arange(10, dtype=np.float32) / 10.0
+    env = audio_envelope(samples, 10, 3, 3)  # bounds 0,4,7,10
+    x = samples.astype(np.float64)
     assert env == pytest.approx([
         np.sqrt(np.mean(x[0:4] ** 2)),
         np.sqrt(np.mean(x[4:7] ** 2)),
@@ -177,9 +175,9 @@ def test_envelope_windows_partition_oddly_divided_samples():
 
 
 def test_envelope_insufficient_samples():
-    audio = AudioTrack(8000, np.zeros(100, dtype=np.float32))
+    samples = np.zeros(100, dtype=np.float32)
     with pytest.raises(ValueError):
-        audio_envelope(audio, 8, 16)
+        audio_envelope(samples, 8000, 8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,10 @@ def test_score_audio_sync_silent_and_static_is_neutral():
     cap = SceneCapture(
         frames=np.stack([base] * 4),
         depth_maps=np.full((4, 4, 4), 2.0, dtype=np.float32),
-        thermal=ThermalMap(np.full((4, 4), 20.0, dtype=np.float32)),
-        audio=AudioTrack(80, np.zeros(40, dtype=np.float32)),
-        imu=ImuTrace(np.zeros(4, dtype=np.float32)),
+        thermal=np.full((4, 4), 20.0, dtype=np.float32),
+        audio=np.zeros(40, dtype=np.float32),
+        sample_rate=80,
+        yaw_rates=np.zeros(4, dtype=np.float32),
         frame_rate=8,
         device_id="T-1",
         timestamp_unix=0,
@@ -399,9 +398,10 @@ def _motion_capture(offsets, imu_u, width=16, height=8, ppr=64.0):
     return SceneCapture(
         frames=np.stack([np.roll(base, int(o), axis=1) for o in offsets]),
         depth_maps=np.full((n, height, width), 2.0, dtype=np.float32),
-        thermal=ThermalMap(np.full((height, width), 20.0, dtype=np.float32)),
-        audio=AudioTrack(80, np.zeros(10 * n, dtype=np.float32)),
-        imu=ImuTrace((np.asarray(imu_u, dtype=np.float64) / ppr).astype(np.float32)),
+        thermal=np.full((height, width), 20.0, dtype=np.float32),
+        audio=np.zeros(10 * n, dtype=np.float32),
+        sample_rate=80,
+        yaw_rates=(np.asarray(imu_u, dtype=np.float64) / ppr).astype(np.float32),
         frame_rate=8,
         device_id="T-1",
         timestamp_unix=0,
@@ -438,6 +438,17 @@ def test_score_motion_one_sided_motion_claims():
     # frames move uniformly, IMU flat at a different constant
     cap = _motion_capture(offsets=[0, 2, 4, 6], imu_u=[0, 0, 0, 0])
     assert score_motion(cap) == 0.0
+
+
+def test_score_motion_at_the_pixels_per_radian_bound_stays_finite():
+    # float32-extreme yaw rates at the largest pixels_per_radian a capture
+    # allows: the gyro series and its sums stay finite, so numpy warns of no
+    # overflow (an error in this suite) and the score is a real score
+    n = 1024
+    cap = _motion_capture(offsets=np.arange(n) % 5, imu_u=np.zeros(n), ppr=1e6)
+    top = np.finfo(np.float32).max
+    yaw = np.where(np.arange(n) % 3 == 0, top, -top).astype(np.float32)
+    assert 0.0 <= score_motion(dataclasses.replace(cap, yaw_rates=yaw)) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,42 @@ def test_nesting_bomb_sidecar_is_malformed(trusted_registry):
     assert verify(b"img", sidecar, trusted_registry).verdict == "malformed"
 
 
+@pytest.mark.parametrize("image, sidecar", [
+    (b"img", "abc"),
+    (b"img", None),
+    (b"img", 64),  # bytes(64) would be 64 zero bytes
+    (None, "good"),
+    ("image payload", "good"),
+    (np.frombuffer(b"image payload", dtype=np.uint8), "good"),
+], ids=["str-sidecar", "None-sidecar", "int-sidecar", "None-image", "str-image", "ndarray-image"])
+def test_inputs_that_are_not_bytes_are_malformed(device_pair, trusted_registry, image, sidecar):
+    if sidecar == "good":
+        sidecar = write_sidecar(_bundle(device_pair))
+    report = verify(image, sidecar, trusted_registry)
+    assert report.verdict == "malformed" and report.manifest is None
+
+
+def _strided(data: bytes) -> memoryview:
+    """The bytes of data in a memoryview that is not contiguous."""
+    return memoryview(bytes(b for b in data for _ in (0, 1)))[::2]
+
+
+def test_every_bytes_like_input_verifies(device_pair, trusted_registry):
+    bundle = _bundle(device_pair)
+    sidecar = write_sidecar(bundle)
+    for kind in (bytes, bytearray, memoryview, _strided):
+        report = verify(kind(bundle.image_bytes), kind(sidecar), trusted_registry)
+        assert report.verdict == "authentic"
+        assert read_sidecar(kind(sidecar)) == (bundle.manifest, bundle.signature)
+
+
+@pytest.mark.parametrize("data", ["RSL1", None, 5, [82, 83, 76, 49]],
+                         ids=["str", "None", "int", "list"])
+def test_read_sidecar_refuses_what_is_not_bytes(data):
+    with pytest.raises(SidecarError, match=type(data).__name__):
+        read_sidecar(data)
+
+
 def test_signature_invalid_beats_hash_mismatch(device_pair, trusted_registry):
     # both the manifest signature and the image hash are wrong
     bundle = _bundle(device_pair)
