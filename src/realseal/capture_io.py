@@ -230,9 +230,10 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     # symlinks, so a dangling link or a directory counts as missing.
     with os.scandir(root) as entries:
         files = {e.name for e in entries if e.is_file()}
+    # Bad UTF-8 is a ValueError too; nesting past the recursion limit is a RecursionError.
     try:
         meta = json.loads(_read_bytes(root, files, "capture.json"))
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):
         raise CaptureError("corrupt capture: capture.json is not valid JSON") from None
     if not isinstance(meta, dict):
         raise CaptureError("corrupt capture: capture.json must hold an object")

@@ -4,13 +4,13 @@ The canonical form is the exact byte string that gets hashed and signed, so
 it must be reproducible everywhere: UTF-8 JSON with keys sorted ascending by
 byte value, no whitespace, integers only (scores in milli-units, coordinates
 in micro-degrees), and string escapes limited to \\" and \\\\. The parser is
-strict: it accepts canonical bytes only, which it enforces by re-encoding
-what it parsed and demanding byte equality. Full grammar: MANIFEST.md.
+strict: it accepts canonical bytes only. One grammar match captures every
+field, and re-encoding the record built from them must reproduce the input
+byte for byte. Full grammar: MANIFEST.md.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -22,11 +22,13 @@ MANIFEST_VERSION = 1
 ALGO_HASH = "sha-256"
 ALGO_SIG = "ed25519"
 ALGO_SCORING = "realseal-v1"
-_ALGOS = {"hash": ALGO_HASH, "scoring": ALGO_SCORING, "sig": ALGO_SIG}
 
-# \Z, not $: $ also matches before a trailing "\n".
-DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}\Z")
-_SHA256_HEX_RE = re.compile(r"^[0-9a-f]{64}\Z")
+# The charsets of the string members, shared by the record checks and the
+# manifest grammar. \Z, not $: $ also matches before a trailing "\n".
+_DEVICE_ID = "[A-Za-z0-9_-]{1,64}"
+_SHA256_HEX = "[0-9a-f]{64}"
+DEVICE_ID_RE = re.compile(rf"^{_DEVICE_ID}\Z")
+_SHA256_HEX_RE = re.compile(rf"^{_SHA256_HEX}\Z")
 
 LAT_MICRODEG_MAX = 90_000_000
 LON_MICRODEG_MAX = 180_000_000
@@ -34,11 +36,9 @@ _TIMESTAMP_MAX = 2**63 - 1
 
 # Length of the longest canonical manifest: a 64-char device id, timestamp
 # 2**63 - 1, location (-90000000, -180000000) and every score at 1000. Longer
-# input cannot be canonical, so the parser refuses it before json.loads,
-# whose recursion a deeply nested body would otherwise exhaust.
+# input cannot be canonical, so the parser refuses it first; the cap also
+# keeps every integer it captures far below int()'s digit limit.
 MAX_MANIFEST_LEN = 428
-
-_SCORE_KEYS = ("audio_sync", "depth", "motion", "overall", "thermal")
 
 
 def _is_int(v: object) -> bool:
@@ -144,26 +144,19 @@ def canonical_encode(m: RealismManifest) -> bytes:
 # Strict parsing
 # ---------------------------------------------------------------------------
 
-def _reject_float(_: str):
-    raise ManifestError("non-integer numbers are not canonical")
-
-
-def _reject_constant(_: str):
-    raise ManifestError("NaN/Infinity are not canonical")
-
-
-def _pairs_to_dict(pairs):
-    d = dict(pairs)
-    if len(d) != len(pairs):
-        raise ManifestError("duplicate object keys")
-    return d
-
-
-def _require_int(obj: dict, key: str) -> int:
-    v = obj[key]
-    if not _is_int(v):
-        raise ManifestError(f"{key} must be an integer")
-    return v
+# Every canonical manifest matches this grammar, one capture group per field
+# in key order. An integer field takes any JSON integer, so the records
+# report out-of-range values and the re-encode check refuses -0.
+_INT = "(-?(?:0|[1-9][0-9]*))"
+_MANIFEST_GRAMMAR = re.compile((
+    r'\{"algos":\{"hash":"%s","scoring":"%s","sig":"%s"\},'
+    r'"device_id":"(%s)","image_sha256":"(%s)",'
+    r'(?:"location":\{"lat_microdeg":%s,"lon_microdeg":%s\},)?'
+    r'"scores":\{"audio_sync":%s,"depth":%s,"motion":%s,"overall":%s,"thermal":%s\},'
+    r'"timestamp_unix":%s,"version":%s\}' % (
+        re.escape(ALGO_HASH), re.escape(ALGO_SCORING), re.escape(ALGO_SIG),
+        _DEVICE_ID, _SHA256_HEX, *[_INT] * 9)
+).encode("ascii"))
 
 
 def parse_manifest(data: bytes) -> RealismManifest:
@@ -171,59 +164,19 @@ def parse_manifest(data: bytes) -> RealismManifest:
     data = _require_bytes(data, ManifestError, "manifest")
     if len(data) > MAX_MANIFEST_LEN:
         raise ManifestError(f"malformed manifest: longer than {MAX_MANIFEST_LEN} bytes")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ManifestError("malformed manifest: invalid UTF-8") from None
-    try:
-        obj = json.loads(
-            text,
-            parse_float=_reject_float,
-            parse_constant=_reject_constant,
-            object_pairs_hook=_pairs_to_dict,
-        )
-    except ManifestError:
-        raise
-    except ValueError:
-        raise ManifestError("malformed manifest: invalid JSON") from None
-    if not isinstance(obj, dict):
-        raise ManifestError("manifest must be a JSON object")
-
-    required = {"algos", "device_id", "image_sha256", "scores", "timestamp_unix", "version"}
-    keys = set(obj)
-    if not required <= keys or keys - required - {"location"}:
-        raise ManifestError("manifest has missing or unknown keys")
-
-    if obj["algos"] != _ALGOS:
-        raise ManifestError("unsupported algos block")
-    scores_obj = obj["scores"]
-    if not isinstance(scores_obj, dict) or set(scores_obj) != set(_SCORE_KEYS):
-        raise ManifestError("scores must hold exactly the five score keys")
-    scores = ManifestScores(
-        depth=_require_int(scores_obj, "depth"),
-        thermal=_require_int(scores_obj, "thermal"),
-        audio_sync=_require_int(scores_obj, "audio_sync"),
-        motion=_require_int(scores_obj, "motion"),
-        overall=_require_int(scores_obj, "overall"),
-    )
-    location = None
-    if "location" in obj:
-        loc = obj["location"]
-        if not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}:
-            raise ManifestError("location must hold lat_microdeg and lon_microdeg")
-        location = (_require_int(loc, "lat_microdeg"), _require_int(loc, "lon_microdeg"))
-    if not isinstance(obj["device_id"], str):
-        raise ManifestError("device_id must be a string")
-    if not isinstance(obj["image_sha256"], str):
-        raise ManifestError("image_sha256 must be a string")
-
+    match = _MANIFEST_GRAMMAR.fullmatch(data)
+    if match is None:
+        raise ManifestError("malformed manifest: non-canonical encoding")
+    device_id, image_sha256, lat, lon, *ints = match.groups()
+    audio_sync, depth, motion, overall, thermal, timestamp_unix, version = map(int, ints)
     manifest = RealismManifest(
-        device_id=obj["device_id"],
-        timestamp_unix=_require_int(obj, "timestamp_unix"),
-        scores=scores,
-        image_sha256=obj["image_sha256"],
-        location=location,
-        version=_require_int(obj, "version"),
+        device_id=device_id.decode("ascii"),
+        timestamp_unix=timestamp_unix,
+        scores=ManifestScores(depth=depth, thermal=thermal, audio_sync=audio_sync,
+                              motion=motion, overall=overall),
+        image_sha256=image_sha256.decode("ascii"),
+        location=None if lat is None else (int(lat), int(lon)),
+        version=version,
     )
     if canonical_encode(manifest) != data:
         raise ManifestError("non-canonical manifest encoding")

@@ -44,10 +44,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SceneCapture:
     """One synchronized multisensory recording plus device identity.
 
+    The record is frozen, so every check made at construction keeps holding.
     Every sensor is a read-only array:
 
     * ``frames``     - (F,H,W) uint8 luminance stack
@@ -105,11 +106,11 @@ class SceneCapture:
             raise CaptureError("yaw_rates must be a 1-D float32 array")
         if not np.all(np.isfinite(yaw)):
             raise CaptureError("yaw_rates must be finite")
-        self.frames = _freeze(frames)
-        self.depth_maps = _freeze(depths)
-        self.thermal = _freeze(temps)
-        self.audio = _freeze(samples)
-        self.yaw_rates = _freeze(yaw)
+        object.__setattr__(self, "frames", _freeze(frames))
+        object.__setattr__(self, "depth_maps", _freeze(depths))
+        object.__setattr__(self, "thermal", _freeze(temps))
+        object.__setattr__(self, "audio", _freeze(samples))
+        object.__setattr__(self, "yaw_rates", _freeze(yaw))
         if not _is_int(self.frame_rate) or self.frame_rate <= 0:
             raise CaptureError("frame_rate must be a positive integer")
         if yaw.size != self.frame_count:
@@ -130,11 +131,11 @@ class SceneCapture:
                 raise CaptureError("location must be integer microdegrees")
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise CaptureError("location out of range")
-            self.location = (lat, lon)
+            object.__setattr__(self, "location", (lat, lon))
         # a NaN fails both comparisons
         if not 0.0 < self.pixels_per_radian <= MAX_PIXELS_PER_RADIAN:
             raise CaptureError("pixels_per_radian must lie within (0, 1e6]")
-        self.pixels_per_radian = float(self.pixels_per_radian)
+        object.__setattr__(self, "pixels_per_radian", float(self.pixels_per_radian))
 
     @property
     def frame_count(self) -> int:

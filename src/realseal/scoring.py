@@ -260,8 +260,6 @@ def score_motion(capture: SceneCapture) -> float:
     """
     f = flow_shift(capture.frames).astype(np.float64)
     u = capture.yaw_rates.astype(np.float64)
-    if u.size != capture.frame_count:
-        raise ValueError("IMU length mismatch")
     g = (u[:-1] + u[1:]) / 2.0 * capture.pixels_per_radian
     rho = _pearson(f, g)
     if rho is None:

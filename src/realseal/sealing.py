@@ -12,6 +12,7 @@ the 32-byte secret seed; nothing here ever logs or prints it.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,8 +250,12 @@ def write_keypair_files(pair: DeviceKeyPair, directory: str | Path,
         for f in (sk, pk):
             if f.exists():
                 raise RealSealError(f"refusing to overwrite {f} (use force)")
-    sk.write_text(pair.secret_seed.hex() + "\n", encoding="ascii")
-    sk.chmod(0o600)
+    # Owner-only before the seed reaches the file: the mode given to os.open
+    # covers a new file, and fchmod one that already exists.
+    with open(os.open(sk, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w",
+              encoding="ascii") as f:
+        os.fchmod(f.fileno(), 0o600)
+        f.write(pair.secret_seed.hex() + "\n")
     pk.write_text(pair.public_key.hex() + "\n", encoding="ascii")
     return sk, pk
 

@@ -3,16 +3,20 @@
 Each is deliberately written on a different route than the library code it
 checks: the plane fit solves raw-coordinate normal equations instead of the
 centered orthogonal closed form, lag search uses np.corrcoef and sorted
-selection instead of streaming preference order, and Ed25519 is a direct
-affine-arithmetic transcription of RFC 8032 rather than a binding to a
-crypto library.
+selection instead of streaming preference order, the manifest parse goes
+through a general JSON decoder instead of the canonical grammar, and Ed25519
+is a direct affine-arithmetic transcription of RFC 8032 rather than a
+binding to a crypto library.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
+
+from realseal import ManifestError, ManifestScores, RealismManifest, canonical_encode
 
 # ---------------------------------------------------------------------------
 # SplitMix64, straight-line transcription
@@ -100,6 +104,40 @@ def flow_shift_reference(pixel_frames) -> list[int]:
         tied = [s for rho, s in candidates if rho == best_rho]
         out.append(min(tied, key=lambda s: (abs(s), s >= 0)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Manifest parse via json.loads, records and re-encoding
+# ---------------------------------------------------------------------------
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _not_an_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+def parse_manifest_reference(data: bytes) -> RealismManifest | None:
+    """The manifest whose canonical encoding is data, or None if there is none."""
+    try:
+        obj = json.loads(data, object_pairs_hook=_unique_keys,
+                         parse_float=_not_an_integer, parse_constant=_not_an_integer)
+        loc = obj.get("location")
+        m = RealismManifest(
+            device_id=obj["device_id"],
+            timestamp_unix=obj["timestamp_unix"],
+            scores=ManifestScores(**obj["scores"]),
+            image_sha256=obj["image_sha256"],
+            location=None if loc is None else (loc["lat_microdeg"], loc["lon_microdeg"]),
+            version=obj["version"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, ManifestError):
+        return None
+    return m if canonical_encode(m) == data else None
 
 
 # ---------------------------------------------------------------------------

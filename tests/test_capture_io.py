@@ -156,6 +156,15 @@ def test_huge_frame_count_is_corrupt_not_an_allocation(tmp_path):
         read_capture_dir(root)
 
 
+@pytest.mark.parametrize("meta", ["{not json", '{"zz":' + "[" * 200_000 + "]" * 200_000 + "}"],
+                         ids=["syntax", "nested-too-deep"])
+def test_capture_json_that_is_not_valid_json_is_corrupt(tmp_path, meta):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    (root / "capture.json").write_text(meta)
+    with pytest.raises(CaptureError, match="capture.json is not valid JSON"):
+        read_capture_dir(root)
+
+
 def test_missing_file_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     (root / "audio.rsa").unlink()

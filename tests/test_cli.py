@@ -163,6 +163,20 @@ def test_seal_corrupt_capture_is_data_error(tmp_path, capsys):
     assert "corrupt" in err
 
 
+def test_seal_nested_capture_json_is_data_error(tmp_path, capsys):
+    keys = tmp_path / "keys"
+    run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))
+    run(capsys, "simulate", "--scenario", "genuine", "--seed", "1",
+        "--out", str(tmp_path / "cap"))
+    meta = (tmp_path / "cap" / "capture.json").read_text()
+    (tmp_path / "cap" / "capture.json").write_text(
+        meta.replace("{", '{"zz":' + "[" * 200_000 + "]" * 200_000 + ",", 1))
+    code, _, err = run(capsys, "seal", str(tmp_path / "cap"),
+                       "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and "not valid JSON" in err
+
+
 def test_seal_audio_slower_than_frames_is_data_error(low_rate_capture_dir, tmp_path, capsys):
     keys = tmp_path / "keys"
     run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from realseal import (
 )
 from realseal.cli import main
 from realseal.manifest import MAX_MANIFEST_LEN
+
+from oracles import parse_manifest_reference
 
 ZERO_HASH = "0" * 64
 
@@ -241,6 +244,66 @@ def test_parse_refuses_what_is_not_bytes(data):
 def test_parse_accepts_every_bytes_like_form():
     for kind in (bytearray, memoryview):
         assert parse_manifest(kind(MINIMAL_BYTES)) == MINIMAL
+
+
+_SCALAR_MEMBER = re.compile(rb'"[a-z_0-9]+":(?:"[^"]*"|-?[0-9]+)')
+_OBJECT_MEMBER = re.compile(rb'"[a-z_0-9]+":\{[^{}]*\}')
+_NUMBER = re.compile(rb"-?[0-9]+")
+_NUMBER_FORMS = (b"-0", b"0%s", b"%s.0", b"-%s", b"%s0", b"true", b"null", b"1e3")
+_FLIP_BYTES = b'0123456789abcdefxyzAZ_-.,:" {}[]\\\n\x00\xff'
+
+
+def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    """data with one byte flip, inserted space, changed number or member splice."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    kind = int(rng.integers(6))
+    numbers = list(_NUMBER.finditer(data))
+    members = list(_SCALAR_MEMBER.finditer(data)) + list(_OBJECT_MEMBER.finditer(data))
+    if kind == 1:  # insert a space
+        i = int(rng.integers(len(data) + 1))
+        return data[:i] + b" " + data[i:]
+    if kind == 2 and numbers:  # reformat a number
+        m, form = pick(numbers), pick(_NUMBER_FORMS)
+        new = form % m.group() if b"%s" in form else form
+        return data[:m.start()] + new + data[m.end():]
+    if kind == 3 and numbers:  # a new integer; most stay canonical and in range
+        m = pick(numbers)
+        return data[:m.start()] + b"%d" % rng.integers(-1, 1002) + data[m.end():]
+    if kind == 4 and members:  # delete a member and one comma beside it
+        m = pick(members)
+        start, end = m.span()
+        if data[end:end + 1] == b",":
+            end += 1
+        elif data[start - 1:start] == b",":
+            start -= 1
+        return data[:start] + data[end:]
+    if kind == 5 and members:  # splice a copy of one member in front of another
+        m, at = pick(members), pick(members)
+        return data[:at.start()] + m.group() + b"," + data[at.start():]
+    i = int(rng.integers(len(data)))  # flip one byte
+    return data[:i] + bytes([pick(_FLIP_BYTES)]) + data[i + 1:]
+
+
+def _parse_or_none(data: bytes) -> RealismManifest | None:
+    try:
+        return parse_manifest(data)
+    except ManifestError:
+        return None
+
+
+def test_parse_agrees_with_json_reference_on_mutations():
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for _ in range(3000):
+        data = canonical_encode(_random_manifest(rng))
+        for _ in range(int(rng.integers(1, 3))):
+            data = _mutate(data, rng)
+        got = _parse_or_none(data)
+        assert got == parse_manifest_reference(data), data
+        accepted += got is not None
+    assert 100 < accepted < 2900
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,11 @@ def test_arrays_are_frozen():
         cap.audio[0] = 0.0
     with pytest.raises(ValueError):
         cap.yaw_rates[0] = 0.0
+    for field, value in [("pixels_per_radian", 1e300), ("frames", cap.frames[:1]),
+                         ("yaw_rates", cap.yaw_rates[:1]), ("device_id", "x y"),
+                         ("location", (0, 0))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cap, field, value)
 
 
 @pytest.mark.parametrize("field", ["thermal", "audio", "sample_rate", "yaw_rates"])

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -317,6 +320,35 @@ def test_keypair_files_refuse_overwrite(tmp_path, device_pair):
     with pytest.raises(RealSealError, match="refusing"):
         write_keypair_files(device_pair, tmp_path)
     write_keypair_files(device_pair, tmp_path, force=True)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-0644"])
+def test_secret_key_file_is_owner_only_before_the_seed_is_written(
+        tmp_path, device_pair, monkeypatch, existing):
+    sk = tmp_path / f"{device_pair.device_id}.sk"
+    if existing:
+        sk.write_text("ff" * 32 + "\n")
+        sk.chmod(0o644)
+    # (contents, mode) of the secret key file at each permission change and at the end
+    seen = []
+
+    def observed(change):
+        def wrapper(*args, **kwargs):
+            seen.append((sk.read_text(), stat.S_IMODE(sk.stat().st_mode)))
+            return change(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(os, "chmod", observed(os.chmod))
+    monkeypatch.setattr(os, "fchmod", observed(os.fchmod))
+    umask = os.umask(0o022)
+    try:
+        write_keypair_files(device_pair, tmp_path, force=existing)
+    finally:
+        os.umask(umask)
+    seen.append((sk.read_text(), stat.S_IMODE(sk.stat().st_mode)))
+    secret = device_pair.secret_seed.hex()
+    assert seen[-1] == (secret + "\n", 0o600)
+    assert all(mode == 0o600 for text, mode in seen if secret in text)
 
 
 def test_keypair_file_bad_contents(tmp_path):
