@@ -23,12 +23,13 @@ ALGO_HASH = "sha-256"
 ALGO_SIG = "ed25519"
 ALGO_SCORING = "realseal-v1"
 
-# The charsets of the string members, shared by the record checks and the
-# manifest grammar. \Z, not $: $ also matches before a trailing "\n".
+# The charsets of the string members, shared by the record checks, the
+# manifest grammar and the registry grammar (a public key is 64 lowercase hex
+# chars too). \Z, not $: $ also matches before a trailing "\n".
 _DEVICE_ID = "[A-Za-z0-9_-]{1,64}"
-_SHA256_HEX = "[0-9a-f]{64}"
+_HEX64 = "[0-9a-f]{64}"
 DEVICE_ID_RE = re.compile(rf"^{_DEVICE_ID}\Z")
-_SHA256_HEX_RE = re.compile(rf"^{_SHA256_HEX}\Z")
+_HEX64_RE = re.compile(rf"^{_HEX64}\Z")
 
 LAT_MICRODEG_MAX = 90_000_000
 LON_MICRODEG_MAX = 180_000_000
@@ -92,7 +93,7 @@ class RealismManifest:
             raise ManifestError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
         if not _is_int(self.timestamp_unix) or not 0 <= self.timestamp_unix <= _TIMESTAMP_MAX:
             raise ManifestError("timestamp_unix out of range")
-        if not isinstance(self.image_sha256, str) or not _SHA256_HEX_RE.match(self.image_sha256):
+        if not isinstance(self.image_sha256, str) or not _HEX64_RE.match(self.image_sha256):
             raise ManifestError("image_sha256 must be 64 lowercase hex chars")
         if self.location is not None:
             if len(self.location) != 2 or not all(_is_int(v) for v in self.location):
@@ -155,7 +156,7 @@ _MANIFEST_GRAMMAR = re.compile((
     r'"scores":\{"audio_sync":%s,"depth":%s,"motion":%s,"overall":%s,"thermal":%s\},'
     r'"timestamp_unix":%s,"version":%s\}' % (
         re.escape(ALGO_HASH), re.escape(ALGO_SCORING), re.escape(ALGO_SIG),
-        _DEVICE_ID, _SHA256_HEX, *[_INT] * 9)
+        _DEVICE_ID, _HEX64, *[_INT] * 9)
 ).encode("ascii"))
 
 

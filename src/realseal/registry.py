@@ -5,20 +5,38 @@ pubkey_hex`` with LF endings; lines starting with '#' and blank lines are
 ignored on load. Device ids are unique: a Registry indexes its entries by id
 once, at construction, and refuses a repeated id. save() emits the canonical
 form (entries only), so load/save round-trips canonical files byte-identically.
+
+load_registry() checks the whole file against one grammar before it builds
+any entry, so the entries of a file that matches are built without checking
+each field again. Only a file that does not match, or that repeats an id,
+goes through the per-line pass, whose one job is to report the first error
+with its line number.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import RegistryError
-from .manifest import DEVICE_ID_RE, _require_bytes
+from .manifest import _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE, _require_bytes
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
 
-_PUBKEY_HEX_RE = re.compile(r"^[0-9a-f]{64}\Z")
+# Every line is an entry, a '#' comment or blank; the last may lack its LF.
+# The three alternatives start with different characters, so the match never
+# backtracks more than one line and fails in time linear in the file.
+_ENTRY = rf"{_DEVICE_ID} (?:{TRUSTED}|{REVOKED}) {_HEX64}"
+_FILE_GRAMMAR = re.compile(rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*(?:{_ENTRY}|#[^\n]*)?")
+# An entry holds no '#', so in a file that matches the grammar each '#' starts
+# a comment that runs to the end of its line.
+_COMMENT = re.compile(r"#[^\n]*")
+# One string object per status, shared by every loaded entry.
+_STATUSES = {TRUSTED: TRUSTED, REVOKED: REVOKED}
 
 
 # slots: no __dict__ per entry, ~45 B less each in a 10^5-device registry
@@ -29,12 +47,31 @@ class RegistryEntry:
     public_key_hex: str
 
     def __post_init__(self) -> None:
+        for name in ("device_id", "status", "public_key_hex"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise RegistryError(f"{name} must be str, not {type(value).__name__}")
         if not DEVICE_ID_RE.match(self.device_id):
             raise RegistryError(f"bad device id {self.device_id!r}")
         if self.status not in (TRUSTED, REVOKED):
             raise RegistryError(f"bad status {self.status!r}")
-        if not _PUBKEY_HEX_RE.match(self.public_key_hex):
+        if not _HEX64_RE.match(self.public_key_hex):
             raise RegistryError("public key must be 64 lowercase hex chars")
+
+
+def _unchecked_entries(ids: list[str], statuses: list[str],
+                       keys: list[str]) -> list[RegistryEntry]:
+    """Entries of fields the file grammar has already checked.
+
+    Sets the three slots of each entry with one C-level pass per slot instead
+    of running __init__ and __post_init__, which would add ~0.25-0.4 s to the
+    load of 10^5 entries.
+    """
+    entries = list(map(object.__new__, repeat(RegistryEntry, len(ids))))
+    for slot, values in ((RegistryEntry.device_id, ids), (RegistryEntry.status, statuses),
+                         (RegistryEntry.public_key_hex, keys)):
+        deque(map(slot.__set__, entries, values), maxlen=0)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -42,13 +79,30 @@ class Registry:
     entries: tuple[RegistryEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        by_id: dict[str, RegistryEntry] = {}
-        for e in self.entries:
-            if e.device_id in by_id:
-                raise RegistryError(f"duplicate device id {e.device_id!r}")
-            by_id[e.device_id] = e
+        entries = tuple(self.entries)
+        if not all(map(isinstance, entries, repeat(RegistryEntry))):
+            bad = next(e for e in entries if not isinstance(e, RegistryEntry))
+            raise RegistryError(
+                f"registry entries must be RegistryEntry, not {type(bad).__name__}")
+        by_id = {e.device_id: e for e in entries}
+        if len(by_id) < len(entries):
+            _refuse_repeats(entries)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "entries", tuple(by_id.values()))  # dicts keep insertion order
+        object.__setattr__(self, "entries", entries)
+
+
+def _refuse_repeats(entries: Iterable[RegistryEntry]) -> tuple[RegistryEntry, ...]:
+    """entries as a tuple; raises at the first whose id an earlier one has.
+
+    Takes one entry at a time, so a generator over a file's lines is still
+    at the line of the repeated id when this raises.
+    """
+    by_id: dict[str, RegistryEntry] = {}
+    for e in entries:
+        if e.device_id in by_id:
+            raise RegistryError(f"duplicate device id {e.device_id!r}")
+        by_id[e.device_id] = e
+    return tuple(by_id.values())
 
 
 def lookup(registry: Registry, device_id: str) -> RegistryEntry | None:
@@ -75,10 +129,26 @@ def load_registry(data: bytes) -> Registry:
         text = _require_bytes(data, RegistryError, "registry").decode("utf-8")
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
+    if _FILE_GRAMMAR.fullmatch(text):
+        fields = (_COMMENT.sub("", text) if "#" in text else text).split()
+        statuses = list(map(_STATUSES.__getitem__, fields[1::3]))
+        try:
+            return Registry(_unchecked_entries(fields[0::3], statuses, fields[2::3]))
+        except RegistryError:
+            pass  # a repeated id; the per-line pass names its line
+    return _load_line_by_line(text)
+
+
+def _load_line_by_line(text: str) -> Registry:
+    """Parse text line by line; an error names the line it is about.
+
+    load_registry() comes here only for a file it refuses, so this pass
+    serves to report that file's first error.
+    """
     lineno = 0
 
     def parse():
-        # Registry pulls one entry at a time, so lineno is the line of
+        # _refuse_repeats pulls one entry at a time, so lineno is the line of
         # whichever entry an error (syntax, field or duplicate) is about.
         nonlocal lineno
         for lineno, line in enumerate(text.split("\n"), start=1):
@@ -90,7 +160,7 @@ def load_registry(data: bytes) -> Registry:
             yield RegistryEntry(*fields)
 
     try:
-        return Registry(parse())
+        return Registry(_refuse_repeats(parse()))
     except RegistryError as exc:
         raise RegistryError(f"line {lineno}: {exc}") from None
 

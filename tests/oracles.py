@@ -4,19 +4,28 @@ Each is deliberately written on a different route than the library code it
 checks: the plane fit solves raw-coordinate normal equations instead of the
 centered orthogonal closed form, lag search uses np.corrcoef and sorted
 selection instead of streaming preference order, the manifest parse goes
-through a general JSON decoder instead of the canonical grammar, and Ed25519
-is a direct affine-arithmetic transcription of RFC 8032 rather than a
-binding to a crypto library.
+through a general JSON decoder instead of the canonical grammar, the registry
+load checks each line's fields on its own instead of matching the whole file
+against one grammar, and Ed25519 is a direct affine-arithmetic transcription
+of RFC 8032 rather than a binding to a crypto library.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
-from realseal import ManifestError, ManifestScores, RealismManifest, canonical_encode
+from realseal import (
+    ManifestError,
+    ManifestScores,
+    RealismManifest,
+    RegistryEntry,
+    RegistryError,
+    canonical_encode,
+)
 
 # ---------------------------------------------------------------------------
 # SplitMix64, straight-line transcription
@@ -138,6 +147,40 @@ def parse_manifest_reference(data: bytes) -> RealismManifest | None:
     except (ValueError, KeyError, TypeError, AttributeError, ManifestError):
         return None
     return m if canonical_encode(m) == data else None
+
+
+# ---------------------------------------------------------------------------
+# Registry load, one line and one field at a time
+# ---------------------------------------------------------------------------
+
+def load_registry_reference(data: bytes) -> tuple[RegistryEntry, ...]:
+    """The entries of a registry file, or RegistryError with the library's text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise RegistryError("registry file is not valid UTF-8") from None
+    entries = []
+    seen = set()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line == "" or line[0] == "#":
+            continue
+        fields = line.split(" ")
+        if len(fields) != 3:
+            error = "expected 'device_id status pubkey_hex'"
+        elif not re.fullmatch(r"[A-Za-z0-9_\-]{1,64}", fields[0]):
+            error = f"bad device id {fields[0]!r}"
+        elif fields[1] not in ("trusted", "revoked"):
+            error = f"bad status {fields[1]!r}"
+        elif not re.fullmatch(r"[0-9a-f]{64}", fields[2]):
+            error = "public key must be 64 lowercase hex chars"
+        elif fields[0] in seen:
+            error = f"duplicate device id {fields[0]!r}"
+        else:
+            seen.add(fields[0])
+            entries.append(RegistryEntry(*fields))
+            continue
+        raise RegistryError(f"line {lineno}: {error}")
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+import realseal.registry
 from realseal import (
     Registry,
     RegistryEntry,
@@ -12,6 +13,9 @@ from realseal import (
     revoke,
     save_registry,
 )
+from realseal.rng import fill_u64
+
+from oracles import load_registry_reference
 
 KEY_A = "aa" * 32
 KEY_B = "bb" * 32
@@ -144,3 +148,157 @@ def test_load_refuses_what_is_not_bytes(data):
 def test_load_accepts_every_bytes_like_form():
     for kind in (bytearray, memoryview):
         assert save_registry(load_registry(kind(CANONICAL))) == CANONICAL
+
+
+@pytest.mark.parametrize("fields, type_name", [
+    ((5, TRUSTED, KEY_A), "int"),
+    ((b"CAM-1", TRUSTED, KEY_A), "bytes"),
+    (("CAM-1", None, KEY_A), "NoneType"),
+    (("CAM-1", TRUSTED, None), "NoneType"),
+], ids=["int-id", "bytes-id", "None-status", "None-key"])
+def test_entry_refuses_a_field_that_is_not_str(fields, type_name):
+    with pytest.raises(RegistryError, match=f"must be str, not {type_name}$"):
+        RegistryEntry(*fields)
+
+
+@pytest.mark.parametrize("item", [1, None, ("CAM-002", TRUSTED, KEY_B)],
+                         ids=["int", "None", "tuple"])
+def test_registry_refuses_an_item_that_is_not_an_entry(item):
+    first = RegistryEntry("CAM-001", TRUSTED, KEY_A)
+    with pytest.raises(RegistryError, match=f"not {type(item).__name__}$"):
+        Registry((first, item))
+    with pytest.raises(RegistryError, match=f"not {type(item).__name__}$"):
+        Registry((item,))
+
+
+def test_load_at_scale_keeps_bytes_entries_and_file_line_numbers():
+    lines = []
+    for i in range(8000):
+        if i % 7 == 0:
+            lines.append(f"# batch {i} #{i}")
+        if i % 11 == 0:
+            lines.append("")
+        lines.append(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}")
+    text = "".join(line + "\n" for line in lines)
+    canonical = "".join(line + "\n" for line in lines if line and line[0] != "#").encode()
+    reg = load_registry(text.encode())
+    assert save_registry(reg) == canonical
+    assert len(reg.entries) == 8000 and len(lines) > 9000
+    for e in reg.entries:
+        assert lookup(reg, e.device_id) is e
+        assert e.status is TRUSTED or e.status is REVOKED
+    # the bad entry and the repeat are entries 8001 but lines len(lines) + 1
+    last = len(lines) + 1
+    with pytest.raises(RegistryError, match=rf"^line {last}: public key must be 64 lowercase"):
+        load_registry((text + f"CAM-08000 trusted {KEY_A.upper()}\n").encode())
+    with pytest.raises(RegistryError, match=rf"^line {last}: duplicate device id 'CAM-00000'$"):
+        load_registry((text + f"CAM-00000 trusted {KEY_A}").encode())
+
+
+# Characters that str.split() takes for whitespace and splitting on "\n" does
+# not; the loader must never let one split a field or a comment.
+_SPLIT_SPACES = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 \u2028\u3000"
+_ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
+_COMMENT_CHARS = "ab #-" + _SPLIT_SPACES
+_REGISTRY_CASES = [
+    "", "\n", "\n\n", "# only a comment", "# only\n# comments\n",
+    f"CAM-001 trusted {KEY_A}", f"\ufeffCAM-001 trusted {KEY_A}\n", f"\ufeff# bom\n",
+    f"CAM-001  trusted {KEY_A}\n", f"CAM-001 trusted {KEY_A} \n", f" CAM-001 trusted {KEY_A}\n",
+    f"CAM-001 trusted {KEY_A[:-1]}\n", f"CAM-001 trusted {KEY_A}a\n",
+    f"CAM-001 trusted {KEY_A.upper()}\n",
+    f"{'C' * 64} trusted {KEY_A}\n", f"{'C' * 65} trusted {KEY_A}\n", f"CAM-001 Trusted {KEY_A}\n",
+    f"CAM-001 trusted {KEY_A}\r\n", f"CAM-001 trusted {KEY_A}\n #x\n",
+] + [case for c in _SPLIT_SPACES for case in (
+    f"# a{c}b\nCAM-001 trusted {KEY_A}\n# {c}\n",
+    f"CAM-001{c}trusted {KEY_A}\n",
+    f"CAM-001 trusted{c}{KEY_A}\n",
+    f"CAM-001 trusted {KEY_A}{c}\n",
+    f"{c}CAM-001 trusted {KEY_A}\n",
+)]
+
+
+def _random_registry(seed: int) -> str:
+    """A small registry file of entries, comments and blank lines, with 0-2
+    mutations: inserted split-spaces, case flips, deleted or doubled chars,
+    trailing spaces, over-long ids, repeated ids (some 100 lines apart), a
+    BOM or a missing final LF."""
+    draws = iter(fill_u64(seed, 96).tolist())
+
+    def below(n: int) -> int:
+        return next(draws) % n
+
+    def text(chars: str, u: int, length: int) -> str:
+        return "".join(chars[(u >> 6 * k) % len(chars)] for k in range(length))
+
+    ids: list[str] = []
+    lines = []
+    for _ in range(below(7)):
+        kind = below(8)
+        if kind == 5:
+            lines.append("#" + text(_COMMENT_CHARS, next(draws), below(10)))
+        elif kind == 6:
+            lines.append("")
+        else:
+            if kind == 7 and ids:
+                ids.append(ids[below(len(ids))])
+            else:
+                ids.append(text(_ID_CHARS, next(draws), 1 + below(9)))
+            key = "".join(f"{next(draws):016x}" for _ in range(4))
+            lines.append(f"{ids[-1]} {(TRUSTED, REVOKED)[below(2)]} {key}")
+    if ids and below(8) == 0:  # a repeated id far from its first line
+        lines += [f"FILL-{k:03d} trusted {KEY_B}" for k in range(100)]
+        lines.append(f"{ids[0]} revoked {KEY_A}")
+    for _ in range(below(3) if lines else 0):
+        i = below(len(lines))
+        line = lines[i]
+        at = below(len(line) + 1)
+        kind = below(7)
+        if kind == 0:
+            line = line[:at] + _SPLIT_SPACES[below(len(_SPLIT_SPACES))] + line[at:]
+        elif kind == 1:
+            line = line[:at] + line[at:].swapcase()[:1] + line[at + 1:]
+        elif kind == 2:
+            line = line[:at] + line[at + 1:]
+        elif kind == 3:
+            line = line[:at] + line[at:at + 1] + line[at:]
+        elif kind == 4:
+            line += " "
+        elif kind == 5 and " " in line:
+            line = "C" * 65 + line[line.index(" "):]
+        else:
+            line = line[:at] + "#\n x"[below(4)] + line[at + 1:]
+        lines[i] = line
+    data = "\n".join(lines) + ("" if below(6) == 0 else "\n")
+    return ("\ufeff" if below(20) == 0 else "") + data
+
+
+def _load_or_error(load, data: bytes):
+    try:
+        return load(data)
+    except RegistryError as exc:
+        return str(exc)
+
+
+def test_load_agrees_with_per_line_reference(monkeypatch):
+    line_passes = 0
+    line_by_line = realseal.registry._load_line_by_line
+
+    def counted(text):
+        nonlocal line_passes
+        line_passes += 1
+        return line_by_line(text)
+
+    monkeypatch.setattr(realseal.registry, "_load_line_by_line", counted)
+    accepted = refused = 0
+    cases = _REGISTRY_CASES + [_random_registry(seed) for seed in range(2500)]
+    for case in cases:
+        data = case.encode()
+        want = _load_or_error(load_registry_reference, data)
+        passes = line_passes
+        got = _load_or_error(load_registry, data)
+        assert (got if isinstance(got, str) else got.entries) == want, data
+        # only a file that is refused takes the per-line pass
+        assert line_passes - passes == isinstance(want, str), data
+        accepted += not isinstance(want, str)
+        refused += isinstance(want, str)
+    assert accepted > 800 and refused > 800
