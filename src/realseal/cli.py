@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / authentic, 1 verification or data failure, 2 usage
 error. Text output is human-oriented; only --json output is contract-stable.
+
+simulate, seal and bench import the numpy-backed modules (capture_io, scene,
+scoring) when they run, so keygen, verify and inspect never load numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-from .capture_io import encode_frame_pgm, read_capture_dir, write_capture_dir
 from .errors import RealSealError
 from .manifest import DEVICE_ID_RE, canonical_encode
 from .registry import load_registry
-from .scene import SCENARIOS, generate_scene
-from .scoring import score_capture
+from .scenarios import SCENARIO_NAMES
 from .sealing import (
     VERDICT_AUTHENTIC,
     keygen,
@@ -92,6 +93,9 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .capture_io import write_capture_dir
+    from .scene import generate_scene
+
     capture = generate_scene(args.scenario, args.seed)
     out = write_capture_dir(capture, args.out)
     print(f"wrote {args.scenario} capture (seed {args.seed}) to {out}")
@@ -99,6 +103,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _score_row(scenario: str, seed: int) -> dict:
+    from .scene import generate_scene
+    from .scoring import score_capture
+
     dims, overall = score_capture(generate_scene(scenario, seed))
     row = {"scenario": scenario, "seed": seed, "overall": round(overall, 6)}
     row.update({k: round(v, 6) for k, v in dims.as_dict().items()})
@@ -109,6 +116,9 @@ def _cmd_seal(args: argparse.Namespace) -> int:
     key_path = Path(args.key)
     if not key_path.is_file():
         raise UsageError(f"key file not found: {args.key}")
+    from .capture_io import encode_frame_pgm, read_capture_dir
+    from .scoring import score_capture
+
     pair = load_keypair_file(key_path)
     capture = read_capture_dir(args.capture_dir)
     dims, overall = score_capture(capture)
@@ -178,11 +188,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = [_score_row(scenario, seed)
-            for seed in args.seed for scenario in SCENARIOS]
+            for seed in args.seed for scenario in SCENARIO_NAMES]
     means = {
         scenario: round(
             sum(r["overall"] for r in rows if r["scenario"] == scenario) / len(args.seed), 6)
-        for scenario in SCENARIOS
+        for scenario in SCENARIO_NAMES
     }
     if args.json:
         print(_dump_json({"rows": rows, "means": means}))
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("simulate", help="synthesize a scenario capture directory")
-    p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
+    p.add_argument("--scenario", required=True, choices=sorted(SCENARIO_NAMES))
     p.add_argument("--seed", type=_uint64, default=0)
     p.add_argument("--out", required=True, help="capture directory to write")
     p.set_defaults(func=_cmd_simulate)

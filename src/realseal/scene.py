@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CaptureError
 from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
 from .rng import Stream, fill_unit
+from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
 from .scoring import motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
@@ -418,9 +419,9 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
 
 
 SCENARIOS = {
-    "genuine": generate_genuine_scene,
-    "screen-replay": generate_screen_replay_scene,
-    "printed-photo": generate_printed_photo_scene,
+    GENUINE: generate_genuine_scene,
+    SCREEN_REPLAY: generate_screen_replay_scene,
+    PRINTED_PHOTO: generate_printed_photo_scene,
 }
 
 

@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -23,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .errors import ManifestError, RealSealError, SidecarError
+from .errors import ManifestError, RealSealError, RegistryError, SidecarError
 from .manifest import (
     BYTES_LIKE,
     DEVICE_ID_RE,
@@ -35,7 +36,9 @@ from .manifest import (
     quantize_score,
 )
 from .registry import TRUSTED, Registry, lookup
-from .scoring import DimensionScores
+
+if TYPE_CHECKING:  # scoring imports numpy, which nothing here needs
+    from .scoring import DimensionScores
 
 _SIDECAR_MAGIC = b"RSL1"
 SIGNATURE_LEN = 64
@@ -198,11 +201,15 @@ def read_sidecar(data: bytes) -> tuple[RealismManifest, bytes]:
 def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> VerificationReport:
     """Check a sealed bundle against the device registry.
 
-    Never raises: every failure mode maps to a verdict, with precedence
-    malformed > unknown_device > tampered_manifest > tampered_image >
-    untrusted_device > authentic. An image or sidecar that is not bytes,
-    bytearray or memoryview is malformed.
+    Never raises for any image or sidecar: every failure mode of those maps
+    to a verdict, with precedence malformed > unknown_device >
+    tampered_manifest > tampered_image > untrusted_device > authentic. An
+    image or sidecar that is not bytes, bytearray or memoryview is
+    malformed. A registry that is not a Registry is the caller's error and
+    raises RegistryError.
     """
+    if not isinstance(registry, Registry):
+        raise RegistryError(f"registry must be Registry, not {type(registry).__name__}")
     if not isinstance(image_bytes, BYTES_LIKE):
         return _MALFORMED_REPORT
     try:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import realseal.registry
@@ -148,6 +150,36 @@ def test_load_refuses_what_is_not_bytes(data):
 def test_load_accepts_every_bytes_like_form():
     for kind in (bytearray, memoryview):
         assert save_registry(load_registry(kind(CANONICAL))) == CANONICAL
+
+
+@pytest.mark.parametrize("data, error", [
+    (CANONICAL, None),
+    (CANONICAL + CANONICAL[:CANONICAL.index(b"\n") + 1], "line 3: duplicate"),
+    (CANONICAL + b"CAM-003 lost " + KEY_A.encode(), "line 3: bad status"),
+], ids=["grammar", "duplicate-fallback", "error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_leaves_the_collector_as_it_found_it(monkeypatch, data, error, enabled):
+    build = realseal.registry._unchecked_entries
+    seen = []
+
+    def recorded(*fields):
+        seen.append(gc.isenabled())
+        return build(*fields)
+
+    monkeypatch.setattr(realseal.registry, "_unchecked_entries", recorded)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert save_registry(load_registry(data)) == CANONICAL
+        else:
+            with pytest.raises(RegistryError, match=error):
+                load_registry(data)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the entries of a file the grammar accepts are built with the collector off
+    assert seen == ([] if error == "line 3: bad status" else [False])
 
 
 @pytest.mark.parametrize("fields, type_name", [

@@ -12,7 +12,8 @@ from realseal import (
     generate_scene,
     generate_screen_replay_scene,
 )
-from realseal.scene import _pan
+from realseal.scenarios import SCENARIO_NAMES
+from realseal.scene import SCENARIOS, _pan
 from realseal.scoring import motion_energy
 
 from oracles import plane_rms_normal_equations
@@ -135,6 +136,10 @@ def test_generate_scene_dispatch():
     assert generate_scene("genuine", 3) == generate_genuine_scene(3)
     with pytest.raises(CaptureError):
         generate_scene("hologram", 3)
+
+
+def test_generators_are_keyed_by_the_scenario_names_in_order():
+    assert tuple(SCENARIOS) == SCENARIO_NAMES == ("genuine", "screen-replay", "printed-photo")
 
 
 def test_small_params_still_valid():

@@ -9,6 +9,7 @@ from realseal import (
     RealismManifest,
     RealSealError,
     Registry,
+    RegistryError,
     SidecarError,
     canonical_encode,
     image_hash,
@@ -253,6 +254,17 @@ def test_inputs_that_are_not_bytes_are_malformed(device_pair, trusted_registry, 
         sidecar = write_sidecar(_bundle(device_pair))
     report = verify(image, sidecar, trusted_registry)
     assert report.verdict == "malformed" and report.manifest is None
+
+
+@pytest.mark.parametrize("registry", [None, "CAM-001 trusted", {}, []],
+                         ids=["None", "str", "dict", "list"])
+@pytest.mark.parametrize("sidecar", ["good", b"garbage"], ids=["good-sidecar", "bad-sidecar"])
+def test_a_registry_that_is_not_a_registry_is_refused(device_pair, registry, sidecar):
+    if sidecar == "good":
+        sidecar = write_sidecar(_bundle(device_pair))
+    message = f"^registry must be Registry, not {type(registry).__name__}$"
+    with pytest.raises(RegistryError, match=message):
+        verify(b"img", sidecar, registry)
 
 
 def _strided(data: bytes) -> memoryview:
