@@ -4,14 +4,15 @@ A capture directory holds:
 
 * ``capture.json``    - metadata (dims, rates, identity, pixels-per-radian)
 * ``frame_%04d.pgm``  - binary PGM, header ``P5\\n<w> <h>\\n255\\n`` + raw bytes
-* ``depth_%04d.rsd``  - magic ``RSD1``, u32le width, u32le height, then
-                        width*height float32le values row-major
+* ``depth_0000.rsd``  - depth at frame 0: magic ``RSD1``, u32le width,
+                        u32le height, then width*height float32le row-major
 * ``thermal.rst``     - same layout with magic ``RST1``
 * ``audio.rsa``       - magic ``RSA1``, u32le sample_rate, u32le count, float32le
 * ``imu.rsi``         - magic ``RSI1``, u32le count, float32le
 
 Every field is fixed-width binary or canonical JSON, so write -> read is
-lossless and two writes of the same capture are byte-identical.
+lossless and two writes of the same capture are byte-identical. The reader
+ignores other files, such as an older writer's ``depth_0001.rsd`` onwards.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
                (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
     for i, frame in enumerate(capture.frames):
         _overwrite(os.path.join(root, f"frame_{i:04d}.pgm"), encode_frame_pgm(frame))
-    for i, depth in enumerate(capture.depth_maps):
-        _overwrite(os.path.join(root, f"depth_{i:04d}.rsd"), *_grid_parts(_MAGIC_DEPTH, depth))
+    _overwrite(os.path.join(root, "depth_0000.rsd"),
+               *_grid_parts(_MAGIC_DEPTH, capture.depth_maps[0]))
     _overwrite(os.path.join(root, "thermal.rst"), *_grid_parts(_MAGIC_THERMAL, capture.thermal))
     _overwrite(os.path.join(root, "audio.rsa"), _encode_audio(capture.sample_rate, capture.audio))
     _overwrite(os.path.join(root, "imu.rsi"), _encode_imu(capture.yaw_rates))
@@ -190,33 +191,31 @@ def _read_bytes(root: str, files: set[str], name: str) -> bytes:
         return f.read()
 
 
-def _read_stack(root: str, files: set[str], pattern: str, n: int, decode) -> np.ndarray:
-    """Decode files pattern.format(0..n-1) into one preallocated (n,H,W) stack.
+def _read_frames(root: str, files: set[str], n: int) -> np.ndarray:
+    """Decode frame_0000.pgm..frame_{n-1}.pgm into one preallocated (n,H,W) stack.
 
-    When file 0's array is its payload byte for byte, a later file of file
+    A PGM's pixels are its payload byte for byte, so a later file of frame
     0's length and header is read straight into its slot; any other file is
     decoded in full, which raises the precise error.
     """
     # Every file must exist before frame_count may size an allocation.
-    paths = [_require_file(root, files, pattern.format(i)) for i in range(n)]
-    data = _read_bytes(root, files, pattern.format(0))
-    first = decode(data)
+    paths = [_require_file(root, files, f"frame_{i:04d}.pgm") for i in range(n)]
+    data = _read_bytes(root, files, "frame_0000.pgm")
+    first = decode_frame_pgm(data)
     header = data[:len(data) - first.nbytes]
-    direct = data[len(header):] == first.tobytes()
-    stack = np.empty((n, *first.shape), dtype=first.dtype)
+    stack = np.empty((n, *first.shape), dtype=np.uint8)
     stack[0] = first
     head = bytearray(len(header))
     for i in range(1, n):
-        name = pattern.format(i)
-        if direct:
-            body = memoryview(stack[i]).cast("B")
-            with open(paths[i], "rb", buffering=0) as f:
-                got = (f.readinto(head), f.readinto(body), len(f.read(1)))
-            if got == (len(head), body.nbytes, 0) and head == header:
-                continue
-        arr = decode(_read_bytes(root, files, name))
+        body = memoryview(stack[i]).cast("B")
+        with open(paths[i], "rb", buffering=0) as f:
+            got = (f.readinto(head), f.readinto(body), len(f.read(1)))
+        if got == (len(head), body.nbytes, 0) and head == header:
+            continue
+        name = f"frame_{i:04d}.pgm"
+        arr = decode_frame_pgm(_read_bytes(root, files, name))
         if arr.shape != first.shape:
-            raise CaptureError(f"corrupt capture: {name} dimensions differ from {pattern.format(0)}")
+            raise CaptureError(f"corrupt capture: {name} dimensions differ from frame_0000.pgm")
         stack[i] = arr
     return stack
 
@@ -243,11 +242,6 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     for key in ("frame_count", "frame_rate", "height", "sample_rate", "timestamp_unix", "width"):
         if not _is_int(meta[key]):
             raise CaptureError(f"corrupt capture: {key} must be an integer")
-    if not isinstance(meta["device_id"], str):
-        raise CaptureError("corrupt capture: device_id must be a string")
-    ppr = meta["pixels_per_radian"]
-    if not isinstance(ppr, (int, float)) or isinstance(ppr, bool):
-        raise CaptureError("corrupt capture: pixels_per_radian must be a number")
     n = meta["frame_count"]
     if n <= 0:
         raise CaptureError("corrupt capture: frame_count must be positive")
@@ -255,21 +249,19 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     location = None
     if "location" in meta:
         loc = meta["location"]
-        if (not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}
-                or not all(_is_int(v) for v in loc.values())):
+        if not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}:
             raise CaptureError("corrupt capture: malformed location")
         location = (loc["lat_microdeg"], loc["lon_microdeg"])
 
-    frames = _read_stack(root, files, "frame_{:04d}.pgm", n, decode_frame_pgm)
-    depth_maps = _read_stack(root, files, "depth_{:04d}.rsd", n,
-                             lambda data: _decode_grid(_MAGIC_DEPTH, data, "depth"))
+    frames = _read_frames(root, files, n)
+    depth = _decode_grid(_MAGIC_DEPTH, _read_bytes(root, files, "depth_0000.rsd"), "depth")
     thermal = _decode_grid(_MAGIC_THERMAL, _read_bytes(root, files, "thermal.rst"), "thermal")
     sample_rate, audio = _decode_audio(_read_bytes(root, files, "audio.rsa"))
     yaw_rates = _decode_imu(_read_bytes(root, files, "imu.rsi"))
 
     capture = SceneCapture(
         frames=frames,
-        depth_maps=depth_maps,
+        depth_maps=depth[np.newaxis],
         thermal=thermal,
         audio=audio,
         sample_rate=sample_rate,
@@ -278,7 +270,7 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         device_id=meta["device_id"],
         timestamp_unix=meta["timestamp_unix"],
         location=location,
-        pixels_per_radian=ppr,
+        pixels_per_radian=meta["pixels_per_radian"],
     )
     if (capture.width, capture.height) != (meta["width"], meta["height"]):
         raise CaptureError("corrupt capture: metadata dims disagree with frames")

@@ -46,6 +46,10 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_location(v: object) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v))
+
+
 # The only input types the parsers take. bytes() of any other value is no
 # parse: it takes an int as a length and raises TypeError for a str or None.
 BYTES_LIKE = (bytes, bytearray, memoryview)
@@ -96,7 +100,7 @@ class RealismManifest:
         if not isinstance(self.image_sha256, str) or not _HEX64_RE.match(self.image_sha256):
             raise ManifestError("image_sha256 must be 64 lowercase hex chars")
         if self.location is not None:
-            if len(self.location) != 2 or not all(_is_int(v) for v in self.location):
+            if not _is_location(self.location):
                 raise ManifestError("location must be two integers")
             lat, lon = self.location
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:

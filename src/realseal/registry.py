@@ -80,6 +80,9 @@ class Registry:
     entries: tuple[RegistryEntry, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entries, Iterable):
+            raise RegistryError(f"registry entries must be an iterable of RegistryEntry, "
+                                f"not {type(self.entries).__name__}")
         entries = tuple(self.entries)
         if not all(map(isinstance, entries, repeat(RegistryEntry))):
             bad = next(e for e in entries if not isinstance(e, RegistryEntry))

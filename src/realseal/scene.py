@@ -10,6 +10,8 @@ must separate:
 * printed-photo  - camera films a static printout: planar depth, ambient
                    thermal, zero motion with live audio
 
+Depth is synthesized at frame 0 only, the frame that is sealed and scored.
+
 All sensor data is synthesized from a single SplitMix64 seed, so every
 generator is byte-reproducible: same seed, same capture.
 """
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CaptureError
-from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
+from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int, _is_location
 from .rng import Stream, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
 from .scoring import motion_energy, window_bounds
@@ -53,7 +55,8 @@ class SceneCapture:
     Every sensor is a read-only array:
 
     * ``frames``     - (F,H,W) uint8 luminance stack
-    * ``depth_maps`` - (F,H,W) float32 scene distances in meters
+    * ``depth_maps`` - (1,H,W) float32 scene distances in meters at frame 0,
+                       the sealed frame
     * ``thermal``    - 2-D float32 temperatures in degrees Celsius
     * ``audio``      - 1-D float32 mono samples in [-1, 1] at ``sample_rate`` Hz
     * ``yaw_rates``  - float32 gyro yaw rate in radians/second, one per frame
@@ -83,8 +86,8 @@ class SceneCapture:
             raise CaptureError("frames must be a non-empty (F,H,W) stack with width, height >= 2")
         if depths.dtype != np.float32:
             raise CaptureError("depths must be float32")
-        if depths.shape != frames.shape:
-            raise CaptureError("one depth map per frame, with the frame dimensions, required")
+        if depths.shape != (1, *frames.shape[1:]):
+            raise CaptureError("one depth map, with the frame dimensions, required")
         # min and max propagate NaN, so this also rejects NaN
         if not (depths.min() > 0.0 and np.isfinite(depths.max())):
             raise CaptureError("depths must be finite and positive")
@@ -122,21 +125,23 @@ class SceneCapture:
         # audio must cover the frame span: samples/rate >= frames/frame_rate
         if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
             raise CaptureError("audio shorter than the frame span")
-        if not DEVICE_ID_RE.match(self.device_id):
+        if not isinstance(self.device_id, str) or not DEVICE_ID_RE.match(self.device_id):
             raise CaptureError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
         if not _is_int(self.timestamp_unix) or self.timestamp_unix < 0:
             raise CaptureError("timestamp_unix must be a non-negative integer")
         if self.location is not None:
+            if not _is_location(self.location):
+                raise CaptureError("location must be two integers")
             lat, lon = self.location
-            if not (_is_int(lat) and _is_int(lon)):
-                raise CaptureError("location must be integer microdegrees")
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise CaptureError("location out of range")
             object.__setattr__(self, "location", (lat, lon))
-        # a NaN fails both comparisons
-        if not 0.0 < self.pixels_per_radian <= MAX_PIXELS_PER_RADIAN:
-            raise CaptureError("pixels_per_radian must lie within (0, 1e6]")
-        object.__setattr__(self, "pixels_per_radian", float(self.pixels_per_radian))
+        ppr = self.pixels_per_radian
+        # a bool or a str is no number; a NaN fails both comparisons
+        if (isinstance(ppr, bool) or not isinstance(ppr, (int, float))
+                or not 0.0 < ppr <= MAX_PIXELS_PER_RADIAN):
+            raise CaptureError("pixels_per_radian must be a number within (0, 1e6]")
+        object.__setattr__(self, "pixels_per_radian", float(ppr))
 
     @property
     def frame_count(self) -> int:
@@ -283,12 +288,12 @@ def _pan(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panned frame stack: returns (frames, offsets, per-transition shifts)."""
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Panned frame stack: returns (frames, per-transition shifts)."""
     base = _texture(tex_seed, params.width, params.height)
     shifts = _pan_shifts(phase, params.frame_count)
     offsets = np.concatenate([[0], np.cumsum(shifts)])
-    return _pan(base, offsets), offsets, shifts
+    return _pan(base, offsets), shifts
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +312,15 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     rect_u = (s.next_unit(), s.next_unit(), s.next_unit(), s.next_unit())
     phase = s.next_u64() & 3
 
-    frames, offsets, shifts = _moving_frames(tex_seed, phase, params)
+    frames, shifts = _moving_frames(tex_seed, phase, params)
 
     rect = _body_rect(rect_u, params.width, params.height)
 
-    # Two depth layers exactly 1 m apart (plus +-5 cm surface noise), panned
-    # with the camera so frame 0 carries the unshifted structure.
+    # Two depth layers exactly 1 m apart (plus +-5 cm surface noise), seen
+    # unshifted at frame 0, the sealed frame.
     base_depth = params.depth_base_m + _noise(depth_seed, params.width, params.height, 0.05)
     base_depth[rect] -= 1.0
-    depth_maps = _pan(base_depth.astype(np.float32), offsets)
+    depth_maps = base_depth.astype(np.float32)[np.newaxis]
 
     xs = np.arange(params.width, dtype=np.float64)
     gradient = 2.0 * (xs / max(params.width - 1, 1) - 0.5)
@@ -357,12 +362,8 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     audio_seed = s.derive_seed()
     phase = s.next_u64() & 3
 
-    frames, _offsets, shifts = _moving_frames(tex_seed, phase, params)
-    stack = (params.frame_count, params.height, params.width)
-
-    # One shared plane for every frame: a read-only broadcast view.
-    depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
-
+    frames, shifts = _moving_frames(tex_seed, phase, params)
+    depth_maps = _tilted_plane(s, params)[np.newaxis]
     thermal = _uniform_thermal(thermal_seed, params.screen_temp_c, params)
 
     # Independent substream: envelope uncorrelated with motion energy.
@@ -397,8 +398,7 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
 
     stack = (params.frame_count, params.height, params.width)
     frames = np.broadcast_to(_texture(tex_seed, params.width, params.height), stack)
-    depth_maps = np.broadcast_to(_tilted_plane(s, params), stack)
-
+    depth_maps = _tilted_plane(s, params)[np.newaxis]
     thermal = _uniform_thermal(thermal_seed, params.ambient_temp_c, params)
 
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)

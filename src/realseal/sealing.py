@@ -94,7 +94,7 @@ def image_hash(data: bytes) -> str:
 
 def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
     """Deterministic Ed25519 keypair from a 32-octet seed."""
-    if not DEVICE_ID_RE.match(device_id):
+    if not isinstance(device_id, str) or not DEVICE_ID_RE.match(device_id):
         raise RealSealError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise RealSealError(f"seed must be exactly {SEED_LEN} octets")

@@ -1,9 +1,17 @@
-"""Pinned digest of everything the library writes or signs.
+"""Pinned digests of everything the library writes or signs.
 
-One SHA-256 covers, per capture: every capture-dir file (name and bytes),
-the PGM image of frame 0, and the sidecar sealed over it with the CAM-001
-fixture key. A refactor that changes any of those bytes changes the digest;
-a deliberate format change must re-pin it and say why.
+Two SHA-256 digests cover the same captures:
+
+* the sealed digest: per capture, the PGM image of frame 0 and the sidecar
+  sealed over it with the CAM-001 fixture key
+* the capture-dir digest: every capture-dir file, name and bytes
+
+A refactor that changes any of those bytes changes a digest; a deliberate
+format change must re-pin the digest it changes and say why. They are two
+so that a change to the capture-dir format re-pins only its own digest and
+still shows the sealed bytes unchanged. The capture-dir digest was re-pinned
+when a capture dir came to hold one depth map, ``depth_0000.rsd``, in place
+of one per frame; the sealed digest was not.
 """
 
 import hashlib
@@ -21,7 +29,16 @@ CASES = [
     (ScenarioParams(7, 5, 6, 3, 1000), range(3)),
 ]
 
-PINNED_DIGEST = "95d25c8592c185254c40e121b86a8344e58990f4bc0a1436217c3c4d4549bf20"
+SEALED_DIGEST = "e52fde2d032de559abe801bcfc2ed294b274e91be20fd53ac7864f911be915c6"
+CAPTURE_DIR_DIGEST = "015aedb09a620cd249afdf2a1420241bb818ba52c8c354288f9c4e872b7153ba"
+
+
+def _captures():
+    """(name, capture) for every case, scenario and seed."""
+    for params, seeds in CASES:
+        for scenario in SCENARIOS:
+            for seed in seeds:
+                yield f"{scenario}-{seed}-{params.width}", generate_scene(scenario, seed, params)
 
 
 def _update(h, name: str, data: bytes) -> None:
@@ -29,19 +46,22 @@ def _update(h, name: str, data: bytes) -> None:
     h.update(data)
 
 
-def test_sealed_bytes_match_pinned_digest(tmp_path, device_pair):
+def test_sealed_bytes_match_pinned_digest(device_pair):
     h = hashlib.sha256()
-    for params, seeds in CASES:
-        for scenario in SCENARIOS:
-            for seed in seeds:
-                capture = generate_scene(scenario, seed, params)
-                root = write_capture_dir(capture, tmp_path / f"{scenario}-{seed}-{params.width}")
-                for f in sorted(root.iterdir()):
-                    _update(h, f.name, f.read_bytes())
-                image = encode_frame_pgm(capture.frames[0])
-                _update(h, "image.pgm", image)
-                dims, overall = score_capture(capture)
-                bundle = seal(image, dims, overall, device_pair,
-                              capture.timestamp_unix, capture.location)
-                _update(h, "image.rsl", write_sidecar(bundle))
-    assert h.hexdigest() == PINNED_DIGEST
+    for _, capture in _captures():
+        image = encode_frame_pgm(capture.frames[0])
+        _update(h, "image.pgm", image)
+        dims, overall = score_capture(capture)
+        bundle = seal(image, dims, overall, device_pair,
+                      capture.timestamp_unix, capture.location)
+        _update(h, "image.rsl", write_sidecar(bundle))
+    assert h.hexdigest() == SEALED_DIGEST
+
+
+def test_capture_dir_bytes_match_pinned_digest(tmp_path):
+    h = hashlib.sha256()
+    for name, capture in _captures():
+        root = write_capture_dir(capture, tmp_path / name)
+        for f in sorted(root.iterdir()):
+            _update(h, f.name, f.read_bytes())
+    assert h.hexdigest() == CAPTURE_DIR_DIGEST

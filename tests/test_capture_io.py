@@ -14,6 +14,7 @@ from realseal import (
     write_capture_dir,
 )
 from realseal.capture_io import decode_frame_pgm
+from realseal.scoring import score_capture
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,36 @@ def test_round_trip_lossless(gen, tmp_path):
     assert read_capture_dir(tmp_path / "cap") == cap
 
 
+def test_capture_dir_holds_the_frames_and_five_files(tmp_path):
+    cap = generate_genuine_scene(3, ScenarioParams(128, 128, 32))
+    root = write_capture_dir(cap, tmp_path / "cap")
+    names = {f.name for f in root.iterdir()}
+    assert len(names) == cap.frame_count + 5
+    assert names - {f"frame_{i:04d}.pgm" for i in range(cap.frame_count)} == {
+        "capture.json", "depth_0000.rsd", "thermal.rst", "audio.rsa", "imu.rsi"}
+
+
+@pytest.mark.parametrize("gen", [
+    generate_genuine_scene, generate_screen_replay_scene, generate_printed_photo_scene])
+def test_older_dir_with_one_depth_file_per_frame_reads(gen, tmp_path):
+    # An older writer wrote frame k's depth map as depth_%04d.rsd: the genuine
+    # scene's panned with the frames, an attack scene's one plane repeated.
+    # The reader takes depth_0000.rsd and ignores the rest.
+    cap = gen(5)
+    root = write_capture_dir(cap, tmp_path / "cap")
+    frames, depth = cap.frames, cap.depth_maps[0]
+    header = (root / "depth_0000.rsd").read_bytes()[:12]
+    for k in range(1, cap.frame_count):
+        shift = 0 if gen is not generate_genuine_scene else next(
+            s for s in range(cap.width)
+            if np.array_equal(np.roll(frames[0], s, axis=1), frames[k]))
+        (root / f"depth_{k:04d}.rsd").write_bytes(
+            header + np.roll(depth, shift, axis=1).astype("<f4").tobytes())
+    back = read_capture_dir(root)
+    assert back == cap and back.depth_maps.shape == (1, cap.height, cap.width)
+    assert score_capture(back) == score_capture(cap)
+
+
 def test_write_is_byte_deterministic(tmp_path):
     cap = generate_genuine_scene(42)
     a = write_capture_dir(cap, tmp_path / "a")
@@ -121,7 +152,7 @@ def test_non_contiguous_stacks_write_like_contiguous_ones(tmp_path):
 @pytest.mark.parametrize("name,edit,match", [
     ("frame_0003.pgm", lambda d: d.replace(b"\n255\n", b"\n254\n", 1), "maxval"),
     ("frame_0003.pgm", lambda d: d + b"\x00", "pixel count"),
-    ("depth_0005.rsd", lambda d: d.replace(b"RSD1", b"RSDX", 1), "bad depth header"),
+    ("frame_0005.pgm", lambda d: d.replace(b"P5", b"P6", 1), "bad PGM magic"),
 ])
 def test_later_stack_file_unlike_the_first_is_corrupt(tmp_path, name, edit, match):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
@@ -132,7 +163,7 @@ def test_later_stack_file_unlike_the_first_is_corrupt(tmp_path, name, edit, matc
 
 def test_truncated_depth_file_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    f = root / "depth_0003.rsd"
+    f = root / "depth_0000.rsd"
     f.write_bytes(f.read_bytes()[:-5])
     with pytest.raises(CaptureError, match="corrupt capture"):
         read_capture_dir(root)
@@ -172,7 +203,7 @@ def test_missing_file_is_corrupt(tmp_path):
         read_capture_dir(root)
 
 
-@pytest.mark.parametrize("name", ["frame_0003.pgm", "depth_0005.rsd"])
+@pytest.mark.parametrize("name", ["frame_0003.pgm", "depth_0000.rsd"])
 @pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
 def test_stack_file_that_is_no_regular_file_is_missing(tmp_path, name, kind):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
@@ -190,7 +221,7 @@ def test_symlinks_to_stack_files_read(tmp_path):
     root = write_capture_dir(cap, tmp_path / "cap")
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
-    for name in ("frame_0003.pgm", "depth_0005.rsd"):
+    for name in ("frame_0003.pgm", "depth_0000.rsd"):
         (root / name).rename(elsewhere / name)
         (root / name).symlink_to(elsewhere / name)
     assert read_capture_dir(root) == cap

@@ -327,6 +327,8 @@ def test_scores_validation():
     dict(location=(90_000_001, 0)),
     dict(location=(0, -180_000_001)),
     dict(version=2),
+    dict(location=5),
+    dict(location=(1, 2, 3)),
 ])
 def test_manifest_validation(kwargs):
     base = dict(

@@ -201,6 +201,10 @@ def test_registry_refuses_an_item_that_is_not_an_entry(item):
         Registry((first, item))
     with pytest.raises(RegistryError, match=f"not {type(item).__name__}$"):
         Registry((item,))
+    if not isinstance(item, tuple):  # not iterable at all
+        with pytest.raises(RegistryError,
+                           match=f"iterable of RegistryEntry, not {type(item).__name__}$"):
+            Registry(item)
 
 
 def test_load_at_scale_keeps_bytes_entries_and_file_line_numbers():

@@ -40,9 +40,10 @@ def test_different_seeds_differ(gen):
 def test_capture_invariants(gen, seed):
     cap = gen(seed)
     n = cap.frame_count
-    assert n == 16 and len(cap.depth_maps) == n and len(cap.yaw_rates) == n
+    assert n == 16 and len(cap.yaw_rates) == n
     assert cap.frames.shape == (n, cap.height, cap.width) and cap.frames.dtype == np.uint8
-    assert cap.depth_maps.shape == cap.frames.shape and cap.depth_maps.dtype == np.float32
+    # one depth map, at the sealed frame
+    assert cap.depth_maps.shape == (1, cap.height, cap.width) and cap.depth_maps.dtype == np.float32
     # audio covers the frame span
     assert cap.audio.size * cap.frame_rate >= n * cap.sample_rate
     assert np.abs(cap.audio).max() <= 1.0
@@ -89,8 +90,8 @@ def test_genuine_audio_envelope_tracks_motion():
 
 def test_screen_replay_depth_planar_everywhere():
     cap = generate_screen_replay_scene(7)
-    for d in cap.depth_maps:
-        assert plane_rms_normal_equations(d) <= 1e-3
+    assert len(cap.depth_maps) == 1
+    assert plane_rms_normal_equations(cap.depth_maps[0]) <= 1e-3
 
 
 def test_screen_replay_thermal_uniform_at_body_heat():
@@ -203,21 +204,25 @@ def _with_stacks(frames, depth_maps) -> SceneCapture:
 def test_luma_frame_validation():
     with pytest.raises(CaptureError):  # height 1
         _with_stacks(np.zeros((4, 1, 4), dtype=np.uint8),
-                     np.full((4, 1, 4), 2.0, dtype=np.float32))
+                     np.full((1, 1, 4), 2.0, dtype=np.float32))
     with pytest.raises(CaptureError):  # float pixels
         _with_stacks(np.zeros((4, 4, 4), dtype=np.float32),
-                     np.full((4, 4, 4), 2.0, dtype=np.float32))
+                     np.full((1, 4, 4), 2.0, dtype=np.float32))
 
 
 def test_depth_map_validation():
     frames = np.zeros((4, 2, 2), dtype=np.uint8)
+    one = np.full((1, 2, 2), 2.0, dtype=np.float32)
+    assert _with_stacks(frames, one).depth_maps.shape == (1, 2, 2)
+    with pytest.raises(CaptureError, match="one depth map"):  # one per frame
+        _with_stacks(frames, np.full((4, 2, 2), 2.0, dtype=np.float32))
     with pytest.raises(CaptureError):
-        _with_stacks(frames, np.zeros((4, 2, 2), dtype=np.float32))  # not > 0
-    bad = np.full((4, 2, 2), 2.0, dtype=np.float32)
-    bad[3, 1, 1] = np.inf
+        _with_stacks(frames, np.zeros((1, 2, 2), dtype=np.float32))  # not > 0
+    bad = np.full((1, 2, 2), 2.0, dtype=np.float32)
+    bad[0, 1, 1] = np.inf
     with pytest.raises(CaptureError):
         _with_stacks(frames, bad)
-    bad[3, 1, 1] = np.nan
+    bad[0, 1, 1] = np.nan
     with pytest.raises(CaptureError):
         _with_stacks(frames, bad)
 
@@ -258,7 +263,7 @@ def test_capture_cross_validation():
     with pytest.raises(CaptureError):
         SceneCapture(
             frames=cap.frames,
-            depth_maps=cap.depth_maps[:-1],  # one short
+            depth_maps=cap.depth_maps[:0],  # none
             thermal=cap.thermal,
             audio=cap.audio,
             sample_rate=cap.sample_rate,
@@ -279,35 +284,41 @@ def test_capture_cross_validation():
             device_id=cap.device_id,
             timestamp_unix=cap.timestamp_unix,
         )
-    with pytest.raises(CaptureError):
-        SceneCapture(
-            frames=cap.frames,
-            depth_maps=cap.depth_maps,
-            thermal=cap.thermal,
-            audio=cap.audio,
-            sample_rate=cap.sample_rate,
-            yaw_rates=cap.yaw_rates,
-            frame_rate=cap.frame_rate,
-            device_id="no spaces allowed",
-            timestamp_unix=cap.timestamp_unix,
-        )
-    with pytest.raises(CaptureError):
-        SceneCapture(
-            frames=cap.frames,
-            depth_maps=cap.depth_maps,
-            thermal=cap.thermal,
-            audio=cap.audio,
-            sample_rate=cap.sample_rate,
-            yaw_rates=cap.yaw_rates,
-            frame_rate=cap.frame_rate,
-            device_id=cap.device_id,
-            timestamp_unix=cap.timestamp_unix,
-            location=(91_000_000, 0),
-        )
+    for device_id in ("no spaces allowed", 5):
+        with pytest.raises(CaptureError, match="device_id"):
+            SceneCapture(
+                frames=cap.frames,
+                depth_maps=cap.depth_maps,
+                thermal=cap.thermal,
+                audio=cap.audio,
+                sample_rate=cap.sample_rate,
+                yaw_rates=cap.yaw_rates,
+                frame_rate=cap.frame_rate,
+                device_id=device_id,
+                timestamp_unix=cap.timestamp_unix,
+            )
+    for location, match in [((91_000_000, 0), "location out of range"),
+                            (5, "location must be two integers"),
+                            ((1, 2, 3), "location must be two integers")]:
+        with pytest.raises(CaptureError, match=match):
+            SceneCapture(
+                frames=cap.frames,
+                depth_maps=cap.depth_maps,
+                thermal=cap.thermal,
+                audio=cap.audio,
+                sample_rate=cap.sample_rate,
+                yaw_rates=cap.yaw_rates,
+                frame_rate=cap.frame_rate,
+                device_id=cap.device_id,
+                timestamp_unix=cap.timestamp_unix,
+                location=location,
+            )
 
 
-@pytest.mark.parametrize("ppr", [0.0, -64.0, np.nan, np.inf, 1e300, np.nextafter(1e6, 2e6)])
+@pytest.mark.parametrize("ppr", [0.0, -64.0, np.nan, np.inf, 1e300, np.nextafter(1e6, 2e6),
+                                 "1", True])
 def test_pixels_per_radian_out_of_range_is_refused(ppr):
+    # a string or a bool is no number, whatever its value
     cap = generate_genuine_scene(1)
     assert dataclasses.replace(cap, pixels_per_radian=1e6).pixels_per_radian == 1e6
     with pytest.raises(CaptureError, match="pixels_per_radian"):
@@ -325,7 +336,7 @@ def test_capture_integers_refuse_booleans(kwargs):
     n = 4
     base = dict(
         frames=np.zeros((n, 2, 2), dtype=np.uint8),
-        depth_maps=np.full((n, 2, 2), 2.0, dtype=np.float32),
+        depth_maps=np.full((1, 2, 2), 2.0, dtype=np.float32),
         thermal=np.full((2, 2), 20.0, dtype=np.float32),
         audio=np.zeros(n, dtype=np.float32),
         sample_rate=1,
@@ -346,7 +357,7 @@ def test_arrays_are_frozen():
     with pytest.raises(ValueError):
         cap.frames[0][0, 0] = 1
     with pytest.raises(ValueError):
-        cap.depth_maps[3, 0, 0] = 1.0
+        cap.depth_maps[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         cap.thermal[0, 0] = 1.0
     with pytest.raises(ValueError):

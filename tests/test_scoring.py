@@ -279,7 +279,7 @@ def test_score_audio_sync_silent_and_static_is_neutral():
     base = np.full((4, 4), 100, dtype=np.uint8)
     cap = SceneCapture(
         frames=np.stack([base] * 4),
-        depth_maps=np.full((4, 4, 4), 2.0, dtype=np.float32),
+        depth_maps=np.full((1, 4, 4), 2.0, dtype=np.float32),
         thermal=np.full((4, 4), 20.0, dtype=np.float32),
         audio=np.zeros(40, dtype=np.float32),
         sample_rate=80,
@@ -397,7 +397,7 @@ def _motion_capture(offsets, imu_u, width=16, height=8, ppr=64.0):
     n = len(offsets)
     return SceneCapture(
         frames=np.stack([np.roll(base, int(o), axis=1) for o in offsets]),
-        depth_maps=np.full((n, height, width), 2.0, dtype=np.float32),
+        depth_maps=np.full((1, height, width), 2.0, dtype=np.float32),
         thermal=np.full((height, width), 20.0, dtype=np.float32),
         audio=np.zeros(10 * n, dtype=np.float32),
         sample_rate=80,

@@ -105,6 +105,8 @@ def test_keygen_validation():
         keygen("CAM-001", bytes(31))
     with pytest.raises(RealSealError):
         keygen("bad id!", bytes(32))
+    with pytest.raises(RealSealError, match="device_id"):
+        keygen(5, bytes(32))
     assert keygen("CAM-001", bytes(32)) == keygen("CAM-001", bytes(32))
 
 
