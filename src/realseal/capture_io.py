@@ -1,24 +1,31 @@
 """On-disk capture format.
 
-A capture directory holds:
+A capture directory holds one file, ``capture.rsc``:
 
-* ``capture.json``    - metadata (dims, rates, identity, pixels-per-radian)
-* ``frame_%04d.pgm``  - binary PGM, header ``P5\\n<w> <h>\\n255\\n`` + raw bytes
-* ``depth_0000.rsd``  - depth at frame 0: magic ``RSD1``, u32le width,
-                        u32le height, then width*height float32le row-major
-* ``thermal.rst``     - same layout with magic ``RST1``
-* ``audio.rsa``       - magic ``RSA1``, u32le sample_rate, u32le count, float32le
-* ``imu.rsi``         - magic ``RSI1``, u32le count, float32le
+* magic ``RSC1``, then a u32le length n
+* n bytes of canonical JSON metadata: dims, rates, identity,
+  pixels-per-radian, ``sample_count`` and the thermal map's
+  ``thermal_height`` and ``thermal_width``
+* 0-3 zero bytes, so that the float arrays start 4-aligned
+* float32le arrays, row-major and back to back: the depth at frame 0
+  (height x width), thermal, audio (sample_count) and the IMU yaw rates
+  (frame_count)
+* the frames as uint8, frame_count x height x width, last
 
-Every field is fixed-width binary or canonical JSON, so write -> read is
-lossless and two writes of the same capture are byte-identical. The reader
-ignores other files, such as an older writer's ``depth_0001.rsd`` onwards.
+There is no trailing byte. Every size follows from the metadata, so the
+reader checks the file's exact length before it makes any array, and every
+array is a read-only view of the one buffer it read. Two writes of the same
+capture are byte-identical. Directories in the older per-file layout
+(``capture.json``, ``frame_%04d.pgm``, ...) no longer read.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import math
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -28,15 +35,11 @@ from .errors import CaptureError
 from .manifest import _is_int
 from .scene import SceneCapture
 
-_MAGIC_DEPTH = b"RSD1"
-_MAGIC_THERMAL = b"RST1"
-_MAGIC_AUDIO = b"RSA1"
-_MAGIC_IMU = b"RSI1"
+CAPTURE_FILE = "capture.rsc"
+_MAGIC = b"RSC1"
+_MISSING = (f"corrupt capture: missing {CAPTURE_FILE}; directories in the older "
+            "per-file layout (capture.json, frame_%04d.pgm, ...) no longer read")
 
-
-# ---------------------------------------------------------------------------
-# PGM codec
-# ---------------------------------------------------------------------------
 
 def encode_frame_pgm(frame: np.ndarray) -> bytes:
     """Binary (P5) PGM encoding of a 2-D uint8 frame; deterministic, used as
@@ -48,86 +51,10 @@ def encode_frame_pgm(frame: np.ndarray) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + frame.tobytes()
 
 
-def decode_frame_pgm(data: bytes) -> np.ndarray:
-    """Strict inverse of encode_frame_pgm (canonical header only): a 2-D
-    uint8 array."""
-    if not data.startswith(b"P5\n"):
-        raise CaptureError("corrupt capture: bad PGM magic")
-    rest = data[3:]
-    nl = rest.find(b"\n")
-    if nl < 0:
-        raise CaptureError("corrupt capture: truncated PGM header")
-    dims = rest[:nl].split(b" ")
-    # ASCII digits with no leading zero: no sign, underscore or zero padding
-    if len(dims) != 2 or not all(d.isdigit() and not d.startswith(b"0") for d in dims):
-        raise CaptureError("corrupt capture: bad PGM dimensions")
-    try:
-        width, height = int(dims[0]), int(dims[1])
-    except ValueError:  # more digits than int() converts
-        raise CaptureError("corrupt capture: bad PGM dimensions") from None
-    body = rest[nl + 1:]
-    if not body.startswith(b"255\n"):
-        raise CaptureError("corrupt capture: PGM maxval must be 255")
-    pixels = body[4:]
-    if len(pixels) != width * height:
-        raise CaptureError("corrupt capture: PGM pixel count mismatch")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-width binary records
-# ---------------------------------------------------------------------------
-
-def _grid_parts(magic: bytes, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Header and contiguous little-endian float32 payload of a grid record."""
-    h, w = arr.shape
-    return magic + struct.pack("<II", w, h), np.ascontiguousarray(arr, dtype="<f4")
-
-def _decode_grid(magic: bytes, data: bytes, what: str) -> np.ndarray:
-    if len(data) < 12 or data[:4] != magic:
-        raise CaptureError(f"corrupt capture: bad {what} header")
-    w, h = struct.unpack("<II", data[4:12])
-    expected = 12 + 4 * w * h
-    if w == 0 or h == 0 or len(data) != expected:
-        raise CaptureError(f"corrupt capture: {what} size mismatch")
-    values = np.frombuffer(data, dtype="<f4", offset=12).reshape(h, w)
-    return values.astype(np.float32, copy=False)
-
-
-def _encode_audio(rate: int, samples: np.ndarray) -> bytes:
-    return (_MAGIC_AUDIO + struct.pack("<II", rate, samples.size)
-            + samples.astype("<f4", copy=False).tobytes())
-
-def _decode_audio(data: bytes) -> tuple[int, np.ndarray]:
-    if len(data) < 12 or data[:4] != _MAGIC_AUDIO:
-        raise CaptureError("corrupt capture: bad audio header")
-    rate, count = struct.unpack("<II", data[4:12])
-    if rate == 0 or len(data) != 12 + 4 * count:
-        raise CaptureError("corrupt capture: audio size mismatch")
-    return rate, np.frombuffer(data, dtype="<f4", offset=12).astype(np.float32, copy=True)
-
-
-def _encode_imu(yaw_rates: np.ndarray) -> bytes:
-    return (_MAGIC_IMU + struct.pack("<I", yaw_rates.size)
-            + yaw_rates.astype("<f4", copy=False).tobytes())
-
-def _decode_imu(data: bytes) -> np.ndarray:
-    if len(data) < 8 or data[:4] != _MAGIC_IMU:
-        raise CaptureError("corrupt capture: bad IMU header")
-    (count,) = struct.unpack("<I", data[4:8])
-    if len(data) != 8 + 4 * count:
-        raise CaptureError("corrupt capture: IMU size mismatch")
-    return np.frombuffer(data, dtype="<f4", offset=8).astype(np.float32, copy=True)
-
-
-# ---------------------------------------------------------------------------
-# Capture directory
-# ---------------------------------------------------------------------------
-
-_META_REQUIRED = {
-    "device_id", "frame_count", "frame_rate", "height",
-    "pixels_per_radian", "sample_rate", "timestamp_unix", "width",
-}
+# Sizes that shape the arrays; every other integer is checked by SceneCapture.
+_DIMS = ("frame_count", "height", "width", "sample_count", "thermal_height", "thermal_width")
+_INTS = (*_DIMS, "frame_rate", "sample_rate", "timestamp_unix")
+_META_REQUIRED = {*_INTS, "device_id", "pixels_per_radian"}
 
 
 def _overwrite(path: str, *parts) -> None:
@@ -158,7 +85,10 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
         "frame_rate": capture.frame_rate,
         "height": capture.height,
         "pixels_per_radian": capture.pixels_per_radian,
+        "sample_count": capture.audio.size,
         "sample_rate": capture.sample_rate,
+        "thermal_height": capture.thermal.shape[0],
+        "thermal_width": capture.thermal.shape[1],
         "timestamp_unix": capture.timestamp_unix,
         "width": capture.width,
     }
@@ -167,57 +97,65 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
             "lat_microdeg": capture.location[0],
             "lon_microdeg": capture.location[1],
         }
-    _overwrite(os.path.join(root, "capture.json"),
-               (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
-    for i, frame in enumerate(capture.frames):
-        _overwrite(os.path.join(root, f"frame_{i:04d}.pgm"), encode_frame_pgm(frame))
-    _overwrite(os.path.join(root, "depth_0000.rsd"),
-               *_grid_parts(_MAGIC_DEPTH, capture.depth_maps[0]))
-    _overwrite(os.path.join(root, "thermal.rst"), *_grid_parts(_MAGIC_THERMAL, capture.thermal))
-    _overwrite(os.path.join(root, "audio.rsa"), _encode_audio(capture.sample_rate, capture.audio))
-    _overwrite(os.path.join(root, "imu.rsi"), _encode_imu(capture.yaw_rates))
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = _MAGIC + struct.pack("<I", len(text)) + text + bytes(-len(text) % 4)
+    floats = (capture.depth_maps, capture.thermal, capture.audio, capture.yaw_rates)
+    _overwrite(os.path.join(root, CAPTURE_FILE), header,
+               *(np.ascontiguousarray(a, dtype="<f4") for a in floats),
+               np.ascontiguousarray(capture.frames))
     return Path(root)
 
 
-def _require_file(root: str, files: set[str], name: str) -> str:
-    """Path of root/name; files is the set of names of root's regular files."""
-    if name not in files:
-        raise CaptureError(f"corrupt capture: missing {name}")
-    return os.path.join(root, name)
+def _read_file(path: str) -> bytes:
+    """All of path's bytes; a path that is no regular file is missing.
 
-
-def _read_bytes(root: str, files: set[str], name: str) -> bytes:
-    with open(_require_file(root, files, name), "rb") as f:
-        return f.read()
-
-
-def _read_frames(root: str, files: set[str], n: int) -> np.ndarray:
-    """Decode frame_0000.pgm..frame_{n-1}.pgm into one preallocated (n,H,W) stack.
-
-    A PGM's pixels are its payload byte for byte, so a later file of frame
-    0's length and header is read straight into its slot; any other file is
-    decoded in full, which raises the precise error.
+    O_NONBLOCK keeps the open of a FIFO from waiting for a writer.
     """
-    # Every file must exist before frame_count may size an allocation.
-    paths = [_require_file(root, files, f"frame_{i:04d}.pgm") for i in range(n)]
-    data = _read_bytes(root, files, "frame_0000.pgm")
-    first = decode_frame_pgm(data)
-    header = data[:len(data) - first.nbytes]
-    stack = np.empty((n, *first.shape), dtype=np.uint8)
-    stack[0] = first
-    head = bytearray(len(header))
-    for i in range(1, n):
-        body = memoryview(stack[i]).cast("B")
-        with open(paths[i], "rb", buffering=0) as f:
-            got = (f.readinto(head), f.readinto(body), len(f.read(1)))
-        if got == (len(head), body.nbytes, 0) and head == header:
-            continue
-        name = f"frame_{i:04d}.pgm"
-        arr = decode_frame_pgm(_read_bytes(root, files, name))
-        if arr.shape != first.shape:
-            raise CaptureError(f"corrupt capture: {name} dimensions differ from frame_0000.pgm")
-        stack[i] = arr
-    return stack
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ELOOP):  # also a dangling or looping link
+            raise CaptureError(_MISSING) from None
+        raise
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise CaptureError(_MISSING)
+        with open(fd, "rb", buffering=0, closefd=False) as f:
+            return f.read()
+    finally:
+        os.close(fd)
+
+
+def _read_meta(data: bytes) -> tuple[dict, int]:
+    """The checked metadata of a capture.rsc, and the offset of its arrays."""
+    if len(data) < 8 or data[:4] != _MAGIC:
+        raise CaptureError(f"corrupt capture: bad {CAPTURE_FILE} magic")
+    (n,) = struct.unpack_from("<I", data, 4)
+    start = 8 + n + -n % 4
+    if start > len(data):
+        raise CaptureError("corrupt capture: metadata runs past the end of the file")
+    if any(data[8 + n:start]):
+        raise CaptureError("corrupt capture: non-zero pad byte")
+    # Bad UTF-8 is a ValueError too; nesting past the recursion limit is a RecursionError.
+    try:
+        meta = json.loads(data[8:8 + n])
+    except (ValueError, RecursionError):
+        raise CaptureError("corrupt capture: metadata is not valid JSON") from None
+    if not isinstance(meta, dict):
+        raise CaptureError("corrupt capture: metadata must be a JSON object")
+    if set(meta) - {"location"} != _META_REQUIRED:
+        raise CaptureError("corrupt capture: metadata has wrong fields")
+    for key in _INTS:
+        if not _is_int(meta[key]):
+            raise CaptureError(f"corrupt capture: {key} must be an integer")
+    for key in _DIMS:
+        if meta[key] <= 0:
+            raise CaptureError(f"corrupt capture: {key} must be positive")
+    if "location" in meta:
+        loc = meta["location"]
+        if not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}:
+            raise CaptureError("corrupt capture: malformed location")
+    return meta, start
 
 
 def read_capture_dir(path: str | Path) -> SceneCapture:
@@ -225,55 +163,32 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     root = os.fspath(path)
     if not os.path.isdir(root):
         raise CaptureError(f"corrupt capture: {root} is not a directory")
-    # One scan answers every existence check. DirEntry.is_file follows
-    # symlinks, so a dangling link or a directory counts as missing.
-    with os.scandir(root) as entries:
-        files = {e.name for e in entries if e.is_file()}
-    # Bad UTF-8 is a ValueError too; nesting past the recursion limit is a RecursionError.
-    try:
-        meta = json.loads(_read_bytes(root, files, "capture.json"))
-    except (ValueError, RecursionError):
-        raise CaptureError("corrupt capture: capture.json is not valid JSON") from None
-    if not isinstance(meta, dict):
-        raise CaptureError("corrupt capture: capture.json must hold an object")
-    keys = set(meta) - {"location"}
-    if keys != _META_REQUIRED:
-        raise CaptureError("corrupt capture: capture.json has wrong fields")
-    for key in ("frame_count", "frame_rate", "height", "sample_rate", "timestamp_unix", "width"):
-        if not _is_int(meta[key]):
-            raise CaptureError(f"corrupt capture: {key} must be an integer")
-    n = meta["frame_count"]
-    if n <= 0:
-        raise CaptureError("corrupt capture: frame_count must be positive")
-
-    location = None
-    if "location" in meta:
-        loc = meta["location"]
-        if not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}:
-            raise CaptureError("corrupt capture: malformed location")
-        location = (loc["lat_microdeg"], loc["lon_microdeg"])
-
-    frames = _read_frames(root, files, n)
-    depth = _decode_grid(_MAGIC_DEPTH, _read_bytes(root, files, "depth_0000.rsd"), "depth")
-    thermal = _decode_grid(_MAGIC_THERMAL, _read_bytes(root, files, "thermal.rst"), "thermal")
-    sample_rate, audio = _decode_audio(_read_bytes(root, files, "audio.rsa"))
-    yaw_rates = _decode_imu(_read_bytes(root, files, "imu.rsi"))
-
-    capture = SceneCapture(
-        frames=frames,
-        depth_maps=depth[np.newaxis],
+    data = _read_file(os.path.join(root, CAPTURE_FILE))
+    meta, offset = _read_meta(data)
+    f, h, w = meta["frame_count"], meta["height"], meta["width"]
+    shapes = ((1, h, w), (meta["thermal_height"], meta["thermal_width"]),
+              (meta["sample_count"],), (f,))
+    counts = [math.prod(s) for s in shapes]
+    # Python ints: a huge frame_count is a size mismatch, never an allocation.
+    if len(data) != offset + 4 * sum(counts) + f * h * w:
+        raise CaptureError(f"corrupt capture: {CAPTURE_FILE} size mismatch")
+    floats = []
+    for shape, count in zip(shapes, counts):
+        view = np.frombuffer(data, "<f4", count, offset).reshape(shape)
+        floats.append(view.astype(np.float32, copy=False))
+        offset += 4 * count
+    depth_maps, thermal, audio, yaw_rates = floats
+    loc = meta.get("location")
+    return SceneCapture(
+        frames=np.frombuffer(data, np.uint8, f * h * w, offset).reshape(f, h, w),
+        depth_maps=depth_maps,
         thermal=thermal,
         audio=audio,
-        sample_rate=sample_rate,
+        sample_rate=meta["sample_rate"],
         yaw_rates=yaw_rates,
         frame_rate=meta["frame_rate"],
         device_id=meta["device_id"],
         timestamp_unix=meta["timestamp_unix"],
-        location=location,
+        location=None if loc is None else (loc["lat_microdeg"], loc["lon_microdeg"]),
         pixels_per_radian=meta["pixels_per_radian"],
     )
-    if (capture.width, capture.height) != (meta["width"], meta["height"]):
-        raise CaptureError("corrupt capture: metadata dims disagree with frames")
-    if capture.sample_rate != meta["sample_rate"]:
-        raise CaptureError("corrupt capture: metadata sample_rate disagrees with audio")
-    return capture

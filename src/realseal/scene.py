@@ -18,6 +18,7 @@ generator is byte-reproducible: same seed, same capture.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,13 @@ PIXELS_PER_RADIAN = 64.0
 MAX_PIXELS_PER_RADIAN = 1e6
 
 _DEFAULT_TIMESTAMP = 1_700_000_000
+
+
+def _number_within(value: object, lo: float, hi: float) -> bool:
+    """True for an int or float in (lo, hi]: a bool or a str is no number, and
+    a NaN fails both comparisons."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and lo < value <= hi)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -136,12 +144,9 @@ class SceneCapture:
             if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
                 raise CaptureError("location out of range")
             object.__setattr__(self, "location", (lat, lon))
-        ppr = self.pixels_per_radian
-        # a bool or a str is no number; a NaN fails both comparisons
-        if (isinstance(ppr, bool) or not isinstance(ppr, (int, float))
-                or not 0.0 < ppr <= MAX_PIXELS_PER_RADIAN):
+        if not _number_within(self.pixels_per_radian, 0.0, MAX_PIXELS_PER_RADIAN):
             raise CaptureError("pixels_per_radian must be a number within (0, 1e6]")
-        object.__setattr__(self, "pixels_per_radian", float(ppr))
+        object.__setattr__(self, "pixels_per_radian", float(self.pixels_per_radian))
 
     @property
     def frame_count(self) -> int:
@@ -196,7 +201,7 @@ class ScenarioParams:
         if self.frame_count < 4:
             raise CaptureError("frame_count must be at least 4")
         floats = (self.ambient_temp_c, self.body_temp_c, self.screen_temp_c, self.depth_base_m)
-        if not all(np.isfinite(v) and v > 0 for v in floats):
+        if not all(_number_within(v, 0.0, sys.float_info.max) for v in floats):
             raise CaptureError("temperatures and base depth must be positive and finite")
 
 

@@ -141,10 +141,10 @@ def _frame_stack(frames) -> np.ndarray:
 def motion_energy(frames) -> np.ndarray:
     """Mean |pixel delta| / 255 for each consecutive pair of an (F,H,W) stack."""
     frames = _frame_stack(frames)
-    a, b = frames[:-1], frames[1:]
-    delta = np.maximum(a, b)
-    delta -= np.minimum(a, b)  # |b - a| without leaving uint8
-    sums = delta.sum(axis=(1, 2), dtype=np.int64)  # exact, unlike a float sum
+    # |a - b| = a + b - 2 min(a, b): one uint8 temporary, every sum exact in int64
+    totals = frames.sum(axis=(1, 2), dtype=np.int64)
+    mins = np.minimum(frames[:-1], frames[1:]).sum(axis=(1, 2), dtype=np.int64)
+    sums = totals[:-1] + totals[1:] - 2 * mins
     return sums / (frames.shape[1] * frames.shape[2]) / 255.0
 
 

@@ -6,7 +6,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import struct
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +18,9 @@ from realseal import (
     TRUSTED,
     generate_genuine_scene,
     keygen,
-    write_capture_dir,
 )
+
+from oracles import capture_rsc_body, pack_capture_rsc
 
 FIXTURE_SEED32 = bytes(range(32))
 
@@ -40,12 +41,22 @@ def low_rate_capture_dir(tmp_path) -> Path:
     """A capture dir of 16 frames at 8 fps whose audio is 8 samples at 4 Hz.
 
     The audio covers the frame span, but every other frame window holds no
-    sample.
+    sample. SceneCapture refuses such a capture, so its capture.rsc is packed
+    by hand.
     """
-    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "low-rate")
-    meta = (root / "capture.json").read_text()
-    assert '"frame_rate":8,' in meta and '"sample_rate":8000,' in meta
-    (root / "capture.json").write_text(meta.replace('"sample_rate":8000,', '"sample_rate":4,'))
-    (root / "audio.rsa").write_bytes(b"RSA1" + struct.pack("<II", 4, 8)
-                                     + np.full(8, 0.25, dtype="<f4").tobytes())
+    cap = generate_genuine_scene(1)
+    assert (cap.frame_count, cap.frame_rate) == (16, 8)
+    meta = {
+        "device_id": cap.device_id, "frame_count": 16, "frame_rate": 8,
+        "height": cap.height, "pixels_per_radian": cap.pixels_per_radian,
+        "sample_count": 8, "sample_rate": 4, "thermal_height": cap.thermal.shape[0],
+        "thermal_width": cap.thermal.shape[1], "timestamp_unix": cap.timestamp_unix,
+        "width": cap.width,
+    }
+    body = capture_rsc_body(cap.depth_maps, cap.thermal, np.full(8, 0.25), cap.yaw_rates,
+                            cap.frames)
+    root = tmp_path / "low-rate"
+    root.mkdir()
+    (root / "capture.rsc").write_bytes(
+        pack_capture_rsc(json.dumps(meta, separators=(",", ":")).encode(), body))
     return root

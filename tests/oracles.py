@@ -6,8 +6,9 @@ centered orthogonal closed form, lag search uses np.corrcoef and sorted
 selection instead of streaming preference order, the manifest parse goes
 through a general JSON decoder instead of the canonical grammar, the registry
 load checks each line's fields on its own instead of matching the whole file
-against one grammar, and Ed25519 is a direct affine-arithmetic transcription
-of RFC 8032 rather than a binding to a crypto library.
+against one grammar, the capture file is packed value by value with struct
+instead of from array buffers, and Ed25519 is a direct affine-arithmetic
+transcription of RFC 8032 rather than a binding to a crypto library.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 
@@ -113,6 +115,29 @@ def flow_shift_reference(pixel_frames) -> list[int]:
         tied = [s for rho, s in candidates if rho == best_rho]
         out.append(min(tied, key=lambda s: (abs(s), s >= 0)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# capture.rsc, packed value by value
+# ---------------------------------------------------------------------------
+
+def capture_rsc_body(depth, thermal, audio, yaw_rates, frames) -> bytes:
+    """The arrays of a capture.rsc: four float32le arrays, then uint8 frames."""
+    floats = [float(v) for a in (depth, thermal, audio, yaw_rates) for v in np.ravel(a)]
+    pixels = [int(v) for v in np.ravel(frames)]
+    return struct.pack(f"<{len(floats)}f", *floats) + struct.pack(f"{len(pixels)}B", *pixels)
+
+
+def pack_capture_rsc(meta: bytes, body: bytes) -> bytes:
+    """RSC1, u32le len(meta), meta, zero bytes up to a multiple of 4, body."""
+    head = b"RSC1" + struct.pack("<I", len(meta)) + meta
+    return head + b"\0" * (-len(head) % 4) + body
+
+
+def split_capture_rsc(data: bytes) -> tuple[bytes, bytes]:
+    """The metadata and the body of a well-formed capture.rsc."""
+    (n,) = struct.unpack("<I", data[4:8])
+    return data[8:8 + n], data[8 + n + (-n % 4):]
 
 
 # ---------------------------------------------------------------------------

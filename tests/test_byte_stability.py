@@ -11,7 +11,9 @@ format change must re-pin the digest it changes and say why. They are two
 so that a change to the capture-dir format re-pins only its own digest and
 still shows the sealed bytes unchanged. The capture-dir digest was re-pinned
 when a capture dir came to hold one depth map, ``depth_0000.rsd``, in place
-of one per frame; the sealed digest was not.
+of one per frame, and again when it came to hold one file, ``capture.rsc``,
+in place of a PGM per frame and five other files: the same arrays and
+metadata, laid out in one file. The sealed digest was re-pinned neither time.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ CASES = [
 ]
 
 SEALED_DIGEST = "e52fde2d032de559abe801bcfc2ed294b274e91be20fd53ac7864f911be915c6"
-CAPTURE_DIR_DIGEST = "015aedb09a620cd249afdf2a1420241bb818ba52c8c354288f9c4e872b7153ba"
+CAPTURE_DIR_DIGEST = "00b5bd0b100741885dad878f288c7f2b1a2d3d4e7f14f041d726d1b1b42fc668"
 
 
 def _captures():

@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import struct
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,8 @@ from realseal import (
     read_capture_dir,
     write_capture_dir,
 )
-from realseal.capture_io import decode_frame_pgm
-from realseal.scoring import score_capture
+
+from oracles import capture_rsc_body, pack_capture_rsc, split_capture_rsc
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +44,11 @@ def test_pgm_encode_deterministic():
 
 
 def test_pgm_round_trip():
+    # a non-square frame: the header says width first, then height
     frame = (np.arange(48) * 5 % 256).astype(np.uint8).reshape(6, 8)
-    decoded = decode_frame_pgm(encode_frame_pgm(frame))
-    assert decoded.dtype == np.uint8 and np.array_equal(decoded, frame)
+    data = encode_frame_pgm(frame)
+    assert data.startswith(b"P5\n8 6\n255\n")
+    assert np.array_equal(np.frombuffer(data[-48:], dtype=np.uint8).reshape(6, 8), frame)
 
 
 @pytest.mark.parametrize("frame", [
@@ -55,25 +62,19 @@ def test_pgm_encode_rejects_non_2d_uint8(frame):
         encode_frame_pgm(frame)
 
 
-@pytest.mark.parametrize("data", [
-    b"P6\n2 2\n255\n" + b"\x00" * 12,
-    b"P5\n2 2\n254\n" + b"\x00" * 4,
-    b"P5\n2 2\n255\n" + b"\x00" * 3,      # short
-    b"P5\n2 2\n255\n" + b"\x00" * 5,      # long
-    b"P5\n2\n255\n" + b"\x00" * 2,
-    b"P5",
-    b"P5\n+2 2\n255\n" + b"\x00" * 4,   # sign
-    b"P5\n2 02\n255\n" + b"\x00" * 4,   # leading zero
-    b"P5\n0_2 2\n255\n" + b"\x00" * 4,  # underscore
-])
-def test_pgm_decode_rejects_corruption(data):
-    with pytest.raises(CaptureError):
-        decode_frame_pgm(data)
-
-
 # ---------------------------------------------------------------------------
 # capture directory round trip
 # ---------------------------------------------------------------------------
+
+def _rsc(root: Path) -> Path:
+    return root / "capture.rsc"
+
+
+def _edit_meta(root: Path, edit) -> None:
+    """Rewrite the metadata JSON text of root's capture.rsc through edit."""
+    meta, body = split_capture_rsc(_rsc(root).read_bytes())
+    _rsc(root).write_bytes(pack_capture_rsc(edit(meta.decode()).encode(), body))
+
 
 @pytest.mark.parametrize("gen", [
     generate_genuine_scene, generate_screen_replay_scene, generate_printed_photo_scene])
@@ -83,34 +84,46 @@ def test_round_trip_lossless(gen, tmp_path):
     assert read_capture_dir(tmp_path / "cap") == cap
 
 
-def test_capture_dir_holds_the_frames_and_five_files(tmp_path):
-    cap = generate_genuine_scene(3, ScenarioParams(128, 128, 32))
+@pytest.mark.parametrize("params,location", [
+    (ScenarioParams(), None),
+    (ScenarioParams(7, 5, 6, 3, 1000), (-33_868_820, 151_209_296)),
+], ids=["desk", "odd-dims-located"])
+def test_capture_file_matches_the_packed_reference(tmp_path, params, location):
+    cap = dataclasses.replace(generate_genuine_scene(2, params), location=location)
+    meta = {
+        "device_id": cap.device_id, "frame_count": cap.frame_count,
+        "frame_rate": cap.frame_rate, "height": cap.height,
+        "pixels_per_radian": cap.pixels_per_radian, "sample_count": cap.audio.size,
+        "sample_rate": cap.sample_rate, "thermal_height": cap.thermal.shape[0],
+        "thermal_width": cap.thermal.shape[1], "timestamp_unix": cap.timestamp_unix,
+        "width": cap.width,
+    }
+    if location is not None:
+        meta["location"] = {"lat_microdeg": location[0], "lon_microdeg": location[1]}
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    body = capture_rsc_body(cap.depth_maps, cap.thermal, cap.audio, cap.yaw_rates, cap.frames)
     root = write_capture_dir(cap, tmp_path / "cap")
-    names = {f.name for f in root.iterdir()}
-    assert len(names) == cap.frame_count + 5
-    assert names - {f"frame_{i:04d}.pgm" for i in range(cap.frame_count)} == {
-        "capture.json", "depth_0000.rsd", "thermal.rst", "audio.rsa", "imu.rsi"}
+    assert _rsc(root).read_bytes() == pack_capture_rsc(text, body)
+    assert read_capture_dir(root) == cap
 
 
-@pytest.mark.parametrize("gen", [
-    generate_genuine_scene, generate_screen_replay_scene, generate_printed_photo_scene])
-def test_older_dir_with_one_depth_file_per_frame_reads(gen, tmp_path):
-    # An older writer wrote frame k's depth map as depth_%04d.rsd: the genuine
-    # scene's panned with the frames, an attack scene's one plane repeated.
-    # The reader takes depth_0000.rsd and ignores the rest.
-    cap = gen(5)
-    root = write_capture_dir(cap, tmp_path / "cap")
-    frames, depth = cap.frames, cap.depth_maps[0]
-    header = (root / "depth_0000.rsd").read_bytes()[:12]
-    for k in range(1, cap.frame_count):
-        shift = 0 if gen is not generate_genuine_scene else next(
-            s for s in range(cap.width)
-            if np.array_equal(np.roll(frames[0], s, axis=1), frames[k]))
-        (root / f"depth_{k:04d}.rsd").write_bytes(
-            header + np.roll(depth, shift, axis=1).astype("<f4").tobytes())
+def test_rewrite_with_fewer_frames_leaves_one_file(tmp_path):
+    short = generate_genuine_scene(3, ScenarioParams(frame_count=16))
+    write_capture_dir(generate_genuine_scene(3, ScenarioParams(frame_count=20)), tmp_path / "cap")
+    root = write_capture_dir(short, tmp_path / "cap")
+    assert {f.name for f in root.iterdir()} == {"capture.rsc"}
     back = read_capture_dir(root)
-    assert back == cap and back.depth_maps.shape == (1, cap.height, cap.width)
-    assert score_capture(back) == score_capture(cap)
+    assert back.frame_count == 16 and back == short
+
+
+def test_older_per_file_dir_no_longer_reads(tmp_path):
+    root = tmp_path / "old"
+    root.mkdir()
+    for name in ("capture.json", "frame_0000.pgm", "depth_0000.rsd", "thermal.rst",
+                 "audio.rsa", "imu.rsi"):
+        (root / name).write_bytes(b"")
+    with pytest.raises(CaptureError, match="missing capture.rsc; .* older per-file layout"):
+        read_capture_dir(root)
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -149,41 +162,40 @@ def test_non_contiguous_stacks_write_like_contiguous_ones(tmp_path):
     assert read_capture_dir(a) == copied
 
 
-@pytest.mark.parametrize("name,edit,match", [
-    ("frame_0003.pgm", lambda d: d.replace(b"\n255\n", b"\n254\n", 1), "maxval"),
-    ("frame_0003.pgm", lambda d: d + b"\x00", "pixel count"),
-    ("frame_0005.pgm", lambda d: d.replace(b"P5", b"P6", 1), "bad PGM magic"),
-])
-def test_later_stack_file_unlike_the_first_is_corrupt(tmp_path, name, edit, match):
+def _pad_after_meta(data: bytes) -> int:
+    meta, _ = split_capture_rsc(data)
+    assert len(meta) % 4, "the fixture capture needs pad bytes"
+    return 8 + len(meta)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d[:6], "bad capture.rsc magic"),
+    (lambda d: d[:-5], "size mismatch"),
+    (lambda d: d + b"\x00", "size mismatch"),
+    (lambda d: d[:_pad_after_meta(d)] + b"\x01" + d[_pad_after_meta(d) + 1:], "non-zero pad byte"),
+    (lambda d: d[:4] + struct.pack("<I", len(d)) + d[8:], "past the end of the file"),
+    (lambda d: d[:4] + struct.pack("<I", 2**32 - 1) + d[8:], "past the end of the file"),
+], ids=["short-header", "truncated", "trailing-byte", "pad-byte", "meta-length-past-end",
+        "meta-length-max"])
+def test_corrupt_capture_file_is_refused(tmp_path, edit, match):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    (root / name).write_bytes(edit((root / name).read_bytes()))
+    _rsc(root).write_bytes(edit(_rsc(root).read_bytes()))
     with pytest.raises(CaptureError, match=match):
         read_capture_dir(root)
 
 
-def test_truncated_depth_file_is_corrupt(tmp_path):
-    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    f = root / "depth_0000.rsd"
-    f.write_bytes(f.read_bytes()[:-5])
-    with pytest.raises(CaptureError, match="corrupt capture"):
-        read_capture_dir(root)
-
-
 def test_dimension_mismatch_is_corrupt(tmp_path):
+    # metadata that sizes the thermal map 4 x 4 against the 32 x 32 on disk
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    # swap in a smaller but self-consistent depth grid
-    import struct
-    small = b"RSD1" + struct.pack("<II", 4, 4) + np.ones(16, dtype="<f4").tobytes()
-    (root / "depth_0000.rsd").write_bytes(small)
-    with pytest.raises(CaptureError):
+    _edit_meta(root, lambda m: m.replace('"thermal_width":32', '"thermal_width":4'))
+    with pytest.raises(CaptureError, match="size mismatch"):
         read_capture_dir(root)
 
 
 def test_huge_frame_count_is_corrupt_not_an_allocation(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    meta = (root / "capture.json").read_text()
-    (root / "capture.json").write_text(meta.replace('"frame_count":16', '"frame_count":10000000000'))
-    with pytest.raises(CaptureError, match="missing frame_0016.pgm"):
+    _edit_meta(root, lambda m: m.replace('"frame_count":16', '"frame_count":10000000000'))
+    with pytest.raises(CaptureError, match="size mismatch"):
         read_capture_dir(root)
 
 
@@ -191,39 +203,77 @@ def test_huge_frame_count_is_corrupt_not_an_allocation(tmp_path):
                          ids=["syntax", "nested-too-deep"])
 def test_capture_json_that_is_not_valid_json_is_corrupt(tmp_path, meta):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    (root / "capture.json").write_text(meta)
-    with pytest.raises(CaptureError, match="capture.json is not valid JSON"):
+    _edit_meta(root, lambda _: meta)
+    with pytest.raises(CaptureError, match="metadata is not valid JSON"):
+        read_capture_dir(root)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: "[]", "must be a JSON object"),
+    (lambda m: m.replace('"sample_count":16000,', ""), "wrong fields"),
+    (lambda m: m.replace('"thermal_height":32,', ""), "wrong fields"),
+    (lambda m: m.replace("{", '{"extra":1,', 1), "wrong fields"),
+    (lambda m: m.replace('"sample_count":16000', '"sample_count":"16000"'),
+     "sample_count must be an integer"),
+    (lambda m: m.replace('"thermal_width":32', '"thermal_width":true'),
+     "thermal_width must be an integer"),
+    (lambda m: m.replace('"frame_count":16', '"frame_count":0'), "frame_count must be positive"),
+    (lambda m: m.replace('"width":32', '"width":-32').replace('"height":32', '"height":-32'),
+     "height must be positive"),
+    (lambda m: m.replace("}", ',"location":[1,2]}'), "malformed location"),
+    (lambda m: m.replace("}", ',"location":{"lat_microdeg":1.5,"lon_microdeg":2}}'),
+     "location must be two integers"),
+], ids=["not-an-object", "no-sample-count", "no-thermal-height", "extra-key",
+        "string-count", "boolean-dim", "zero-frames", "negative-dims", "location-list",
+        "float-location"])
+def test_wrong_metadata_fields_are_corrupt(tmp_path, edit, match):
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    _edit_meta(root, edit)
+    with pytest.raises(CaptureError, match=match):
         read_capture_dir(root)
 
 
 def test_missing_file_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    (root / "audio.rsa").unlink()
-    with pytest.raises(CaptureError, match="missing"):
+    _rsc(root).unlink()
+    with pytest.raises(CaptureError, match="missing capture.rsc"):
         read_capture_dir(root)
 
 
-@pytest.mark.parametrize("name", ["frame_0003.pgm", "depth_0000.rsd"])
-@pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
-def test_stack_file_that_is_no_regular_file_is_missing(tmp_path, name, kind):
+@pytest.mark.parametrize("kind", ["directory", "dangling symlink", "symlink loop", "fifo"])
+def test_capture_file_that_is_no_regular_file_is_missing(tmp_path, kind):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    (root / name).unlink()
+    _rsc(root).unlink()
     if kind == "directory":
-        (root / name).mkdir()
+        _rsc(root).mkdir()
+    elif kind == "dangling symlink":
+        _rsc(root).symlink_to(tmp_path / "nowhere")
+    elif kind == "symlink loop":
+        _rsc(root).symlink_to(_rsc(root))
     else:
-        (root / name).symlink_to(tmp_path / "nowhere")
-    with pytest.raises(CaptureError, match=f"missing {name}"):
-        read_capture_dir(root)
+        os.mkfifo(_rsc(root))
+    errors = []
+
+    def read():
+        try:
+            read_capture_dir(root)
+        except CaptureError as exc:
+            errors.append(str(exc))
+
+    # a daemon thread, so that a read that blocks fails the test, not the run
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive(), "read_capture_dir blocked"
+    assert len(errors) == 1 and errors[0].startswith("corrupt capture: missing capture.rsc")
 
 
-def test_symlinks_to_stack_files_read(tmp_path):
+def test_symlink_to_capture_file_reads(tmp_path):
     cap = generate_genuine_scene(1)
     root = write_capture_dir(cap, tmp_path / "cap")
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    for name in ("frame_0003.pgm", "depth_0000.rsd"):
-        (root / name).rename(elsewhere / name)
-        (root / name).symlink_to(elsewhere / name)
+    elsewhere = tmp_path / "elsewhere.rsc"
+    _rsc(root).rename(elsewhere)
+    _rsc(root).symlink_to(elsewhere)
     assert read_capture_dir(root) == cap
 
 
@@ -234,26 +284,23 @@ def test_audio_slower_than_frames_is_corrupt(low_rate_capture_dir):
 
 def test_bad_magic_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    data = (root / "thermal.rst").read_bytes()
-    (root / "thermal.rst").write_bytes(b"XXXX" + data[4:])
-    with pytest.raises(CaptureError):
+    data = _rsc(root).read_bytes()
+    _rsc(root).write_bytes(b"RSD1" + data[4:])
+    with pytest.raises(CaptureError, match="bad capture.rsc magic"):
         read_capture_dir(root)
 
 
 def test_metadata_field_tampering_detected(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    meta = (root / "capture.json").read_text()
-    (root / "capture.json").write_text(meta.replace('"width":32', '"width":16'))
-    with pytest.raises(CaptureError):
+    _edit_meta(root, lambda m: m.replace('"width":32', '"width":16'))
+    with pytest.raises(CaptureError, match="size mismatch"):
         read_capture_dir(root)
 
 
 def test_boolean_pixels_per_radian_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    meta = (root / "capture.json").read_text()
-    assert '"pixels_per_radian":64.0' in meta
-    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
-                                                    '"pixels_per_radian":true'))
+    assert b'"pixels_per_radian":64.0' in _rsc(root).read_bytes()
+    _edit_meta(root, lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":true'))
     with pytest.raises(CaptureError, match="pixels_per_radian"):
         read_capture_dir(root)
 
@@ -261,9 +308,7 @@ def test_boolean_pixels_per_radian_is_corrupt(tmp_path):
 @pytest.mark.parametrize("ppr", ["1e300", "1" + "0" * 400], ids=["1e300", "10**400"])
 def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    meta = (root / "capture.json").read_text()
-    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
-                                                    f'"pixels_per_radian":{ppr}'))
+    _edit_meta(root, lambda m: m.replace('"pixels_per_radian":64.0', f'"pixels_per_radian":{ppr}'))
     with pytest.raises(CaptureError, match="pixels_per_radian"):
         read_capture_dir(root)
 
@@ -271,20 +316,19 @@ def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr):
 def test_integer_pixels_per_radian_reads_as_float(tmp_path):
     cap = generate_genuine_scene(1)
     root = write_capture_dir(cap, tmp_path / "cap")
-    meta = (root / "capture.json").read_text()
-    (root / "capture.json").write_text(meta.replace('"pixels_per_radian":64.0',
-                                                    '"pixels_per_radian":64'))
+    written = _rsc(root).read_bytes()
+    _edit_meta(root, lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":64'))
     back = read_capture_dir(root)
     assert type(back.pixels_per_radian) is float and back == cap
-    assert (write_capture_dir(back, tmp_path / "again") / "capture.json").read_text() == meta
+    assert _rsc(write_capture_dir(back, tmp_path / "again")).read_bytes() == written
 
 
 def test_non_finite_values_rejected(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
-    data = bytearray((root / "depth_0000.rsd").read_bytes())
-    data[12:16] = np.array([np.nan], dtype="<f4").tobytes()
-    (root / "depth_0000.rsd").write_bytes(bytes(data))
-    with pytest.raises(CaptureError):
+    meta, body = split_capture_rsc(_rsc(root).read_bytes())
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    _rsc(root).write_bytes(pack_capture_rsc(meta, nan + body[4:]))  # depth[0, 0]
+    with pytest.raises(CaptureError, match="depths must be finite"):
         read_capture_dir(root)
 
 

@@ -6,6 +6,8 @@ import pytest
 from realseal import parse_manifest, read_capture_dir
 from realseal.cli import main
 
+from oracles import pack_capture_rsc, split_capture_rsc
+
 SEED_HEX = "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
 
 
@@ -156,7 +158,7 @@ def test_seal_corrupt_capture_is_data_error(tmp_path, capsys):
     run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))
     run(capsys, "simulate", "--scenario", "genuine", "--seed", "1",
         "--out", str(tmp_path / "cap"))
-    (tmp_path / "cap" / "audio.rsa").write_bytes(b"RSA1junk")
+    (tmp_path / "cap" / "capture.rsc").write_bytes(b"RSC1junk")
     code, _, err = run(capsys, "seal", str(tmp_path / "cap"),
                        "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -168,9 +170,10 @@ def test_seal_nested_capture_json_is_data_error(tmp_path, capsys):
     run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))
     run(capsys, "simulate", "--scenario", "genuine", "--seed", "1",
         "--out", str(tmp_path / "cap"))
-    meta = (tmp_path / "cap" / "capture.json").read_text()
-    (tmp_path / "cap" / "capture.json").write_text(
-        meta.replace("{", '{"zz":' + "[" * 200_000 + "]" * 200_000 + ",", 1))
+    rsc = tmp_path / "cap" / "capture.rsc"
+    meta, body = split_capture_rsc(rsc.read_bytes())
+    nested = b'{"zz":' + b"[" * 200_000 + b"]" * 200_000 + b","
+    rsc.write_bytes(pack_capture_rsc(meta.replace(b"{", nested, 1), body))
     code, _, err = run(capsys, "seal", str(tmp_path / "cap"),
                        "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
     assert code == 1

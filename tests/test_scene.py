@@ -159,6 +159,11 @@ def test_small_params_still_valid():
     dict(depth_base_m=0.0),
     dict(ambient_temp_c=-1.0),
     dict(frame_rate=True),
+    # not numbers: the check SceneCapture makes of pixels_per_radian
+    dict(ambient_temp_c="1"),
+    dict(body_temp_c=None),
+    dict(depth_base_m=True),
+    dict(screen_temp_c=float("inf")),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
