@@ -116,12 +116,31 @@ def test_rewrite_with_fewer_frames_leaves_one_file(tmp_path):
     assert back.frame_count == 16 and back == short
 
 
-def test_older_per_file_dir_no_longer_reads(tmp_path):
-    root = tmp_path / "old"
+def _older_per_file_dir(root):
     root.mkdir()
-    for name in ("capture.json", "frame_0000.pgm", "depth_0000.rsd", "thermal.rst",
-                 "audio.rsa", "imu.rsi"):
+    for name in ("capture.json", "frame_0000.pgm", "frame_0003.pgm", "depth_0000.rsd",
+                 "thermal.rst", "audio.rsa", "imu.rsi"):
         (root / name).write_bytes(b"")
+    return root
+
+
+def test_older_per_file_dir_no_longer_reads(tmp_path):
+    root = _older_per_file_dir(tmp_path / "old")
+    with pytest.raises(CaptureError, match="missing capture.rsc; .* older per-file layout"):
+        read_capture_dir(root)
+
+
+@pytest.mark.parametrize("name", ["frame_0003.pgm", "depth_0000.rsd"])
+@pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
+def test_stack_file_that_is_no_regular_file_is_missing(tmp_path, name, kind):
+    # an older per-file stack file that is no regular file does not trip the
+    # reader: the directory is refused for its missing capture.rsc
+    root = _older_per_file_dir(tmp_path / "old")
+    (root / name).unlink()
+    if kind == "directory":
+        (root / name).mkdir()
+    else:
+        (root / name).symlink_to(tmp_path / "nowhere")
     with pytest.raises(CaptureError, match="missing capture.rsc; .* older per-file layout"):
         read_capture_dir(root)
 
