@@ -46,16 +46,27 @@ def fill_u64(seed: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    k = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + k * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    # one work array and one shift buffer, updated in place
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def fill_unit(seed: int, count: int) -> np.ndarray:
     """First ``count`` doubles in [0, 1), from the top 53 bits of each output."""
-    return (fill_u64(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = fill_u64(seed, count)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 class Stream:

@@ -40,12 +40,23 @@ MAX_PIXELS_PER_RADIAN = 1e6
 
 _DEFAULT_TIMESTAMP = 1_700_000_000
 
+# The audio-sync scorer correlates F - 1 transitions over at least 3 points.
+MIN_FRAME_COUNT = 4
+
 
 def _number_within(value: object, lo: float, hi: float) -> bool:
     """True for an int or float in (lo, hi]: a bool or a str is no number, and
     a NaN fails both comparisons."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and lo < value <= hi)
+
+
+def _check_frame_span(frame_count: int, sample_rate: int) -> None:
+    """Refuse a span whose last frame-window bound, frame_count * sample_rate
+    on Python ints, does not fit the int64 arithmetic of window_bounds. As
+    sample_rate >= frame_rate, this bounds both rates."""
+    if frame_count * sample_rate >= 2**63:
+        raise CaptureError("frame_count * sample_rate must be below 2**63")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -62,7 +73,7 @@ class SceneCapture:
     The record is frozen, so every check made at construction keeps holding.
     Every sensor is a read-only array:
 
-    * ``frames``     - (F,H,W) uint8 luminance stack
+    * ``frames``     - (F,H,W) uint8 luminance stack, F >= 4
     * ``depth_maps`` - (1,H,W) float32 scene distances in meters at frame 0,
                        the sealed frame
     * ``thermal``    - 2-D float32 temperatures in degrees Celsius
@@ -90,8 +101,10 @@ class SceneCapture:
         yaw = np.asarray(self.yaw_rates)
         if frames.dtype != np.uint8:
             raise CaptureError("frame pixels must be uint8")
-        if frames.ndim != 3 or frames.shape[0] == 0 or min(frames.shape[1:]) < 2:
-            raise CaptureError("frames must be a non-empty (F,H,W) stack with width, height >= 2")
+        if frames.ndim != 3 or min(frames.shape[1:]) < 2:
+            raise CaptureError("frames must be an (F,H,W) stack with width, height >= 2")
+        if frames.shape[0] < MIN_FRAME_COUNT:
+            raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
         if depths.dtype != np.float32:
             raise CaptureError("depths must be float32")
         if depths.shape != (1, *frames.shape[1:]):
@@ -110,9 +123,11 @@ class SceneCapture:
             raise CaptureError("temps must lie within [-40, 150] C")
         if not _is_int(self.sample_rate) or self.sample_rate <= 0:
             raise CaptureError("sample_rate must be a positive integer")
+        _check_frame_span(frames.shape[0], self.sample_rate)
         if samples.dtype != np.float32 or samples.ndim != 1:
             raise CaptureError("samples must be a 1-D float32 array")
-        if not np.abs(samples).max(initial=0.0) <= 1.0:
+        # min and max propagate NaN, so this also rejects NaN
+        if samples.size and not (samples.min() >= -1.0 and samples.max() <= 1.0):
             raise CaptureError("samples must be finite and within [-1, 1]")
         if yaw.dtype != np.float32 or yaw.ndim != 1:
             raise CaptureError("yaw_rates must be a 1-D float32 array")
@@ -198,8 +213,9 @@ class ScenarioParams:
             raise CaptureError("dimensions and rates must be positive integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")
-        if self.frame_count < 4:
-            raise CaptureError("frame_count must be at least 4")
+        if self.frame_count < MIN_FRAME_COUNT:
+            raise CaptureError(f"frame_count must be at least {MIN_FRAME_COUNT}")
+        _check_frame_span(self.frame_count, self.sample_rate)
         floats = (self.ambient_temp_c, self.body_temp_c, self.screen_temp_c, self.depth_base_m)
         if not all(_number_within(v, 0.0, sys.float_info.max) for v in floats):
             raise CaptureError("temperatures and base depth must be positive and finite")
@@ -213,8 +229,13 @@ def _texture(seed: int, width: int, height: int) -> np.ndarray:
     """Horizontally smoothed random texture; column-correlated so per-frame
     motion energy grows with shift size."""
     raw = fill_unit(seed, width * height).reshape(height, width)
-    sm = (raw + np.roll(raw, 1, axis=1) + np.roll(raw, 2, axis=1) + np.roll(raw, 3, axis=1)) / 4.0
-    return (40.0 + 175.0 * sm).astype(np.uint8)
+    sm = raw + np.roll(raw, 1, axis=1)
+    sm += np.roll(raw, 2, axis=1)
+    sm += np.roll(raw, 3, axis=1)
+    sm /= 4.0
+    sm *= 175.0
+    sm += 40.0
+    return sm.astype(np.uint8)
 
 
 def _pan_shifts(phase: int, frame_count: int) -> np.ndarray:
@@ -293,12 +314,12 @@ def _pan(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Panned frame stack: returns (frames, per-transition shifts)."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panned frame stack: returns (base texture, frames, per-transition shifts)."""
     base = _texture(tex_seed, params.width, params.height)
     shifts = _pan_shifts(phase, params.frame_count)
     offsets = np.concatenate([[0], np.cumsum(shifts)])
-    return _pan(base, offsets), shifts
+    return base, _pan(base, offsets), shifts
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +338,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     rect_u = (s.next_unit(), s.next_unit(), s.next_unit(), s.next_unit())
     phase = s.next_u64() & 3
 
-    frames, shifts = _moving_frames(tex_seed, phase, params)
+    base, frames, shifts = _moving_frames(tex_seed, phase, params)
 
     rect = _body_rect(rect_u, params.width, params.height)
 
@@ -336,7 +357,9 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
 
     # Sound follows the visuals: window k+1 carries the energy of the
     # transition into frame k+1, matching the scorer's envelope alignment.
-    m = motion_energy(frames)
+    # Rolling both frames of a pair only permutes its pixel pairs, so a
+    # transition's energy depends on its shift alone, which is 1 or 2.
+    m = motion_energy(_pan(base, np.array([0, 1, 3])))[shifts - 1]
     env = np.concatenate([[m[0]], m])
     audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
 
@@ -367,7 +390,7 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     audio_seed = s.derive_seed()
     phase = s.next_u64() & 3
 
-    frames, shifts = _moving_frames(tex_seed, phase, params)
+    _, frames, shifts = _moving_frames(tex_seed, phase, params)
     depth_maps = _tilted_plane(s, params)[np.newaxis]
     thermal = _uniform_thermal(thermal_seed, params.screen_temp_c, params)
 

@@ -85,8 +85,12 @@ def fit_plane(depths: np.ndarray) -> PlaneFit:
     a = float(d.sum(axis=0) @ xc) / sxx if sxx > 0 else 0.0
     b = float(d.sum(axis=1) @ yc) / syy if syy > 0 else 0.0
     c = float(d.mean())
-    resid = d - (a * xc[np.newaxis, :] + b * yc[:, np.newaxis] + c)
-    rms = math.sqrt(float(np.mean(resid * resid)))
+    # one (H, W) buffer: the plane, then the residual, then its square
+    resid = a * xc[np.newaxis, :] + b * yc[:, np.newaxis]
+    resid += c
+    np.subtract(d, resid, out=resid)
+    resid *= resid
+    rms = math.sqrt(float(np.mean(resid)))
     return PlaneFit(a=a, b=b, c=c, rms_residual=rms)
 
 
@@ -110,7 +114,11 @@ def score_thermal(temps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
-    """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n."""
+    """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n.
+
+    Exact in int64 while frame_count * sample_rate < 2**63, which every
+    SceneCapture and ScenarioParams satisfies.
+    """
     k = np.arange(frame_count + 1, dtype=np.int64)
     return -(-(k * sample_rate) // frame_rate)
 
@@ -128,22 +136,39 @@ def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
     if np.any(widths == 0):
         raise ValueError("frame window shorter than one audio sample")
     x = samples[:bounds[-1]].astype(np.float64)
-    return np.sqrt(np.add.reduceat(x * x, bounds[:-1]) / widths)
+    x *= x
+    return np.sqrt(np.add.reduceat(x, bounds[:-1]) / widths)
 
 
 def _frame_stack(frames) -> np.ndarray:
     frames = np.asarray(frames)
-    if frames.ndim != 3 or len(frames) < 2:
-        raise ValueError("expected an (F,H,W) frame stack with at least 2 frames")
+    if frames.dtype != np.uint8 or frames.ndim != 3 or len(frames) < 2:
+        raise ValueError("expected an (F,H,W) uint8 frame stack with at least 2 frames")
     return frames
+
+
+# 257 * 255 == 65535: a uint16 sum of at most this many uint8 rows cannot wrap.
+_U16_BLOCK_ROWS = 257
+
+
+def _column_sums(stack: np.ndarray) -> np.ndarray:
+    """Exact (N, W) int64 column sums of an (N, H, W) uint8 stack.
+
+    Blocks of at most 257 rows are summed in uint16, half the bytes of a
+    uint32 pass, and the block sums are added in int64.
+    """
+    sums = stack[:, :_U16_BLOCK_ROWS].sum(axis=1, dtype=np.uint16).astype(np.int64)
+    for top in range(_U16_BLOCK_ROWS, stack.shape[1], _U16_BLOCK_ROWS):
+        sums += stack[:, top:top + _U16_BLOCK_ROWS].sum(axis=1, dtype=np.uint16)
+    return sums
 
 
 def motion_energy(frames) -> np.ndarray:
     """Mean |pixel delta| / 255 for each consecutive pair of an (F,H,W) stack."""
     frames = _frame_stack(frames)
     # |a - b| = a + b - 2 min(a, b): one uint8 temporary, every sum exact in int64
-    totals = frames.sum(axis=(1, 2), dtype=np.int64)
-    mins = np.minimum(frames[:-1], frames[1:]).sum(axis=(1, 2), dtype=np.int64)
+    totals = _column_sums(frames).sum(axis=1)
+    mins = _column_sums(np.minimum(frames[:-1], frames[1:])).sum(axis=1)
     sums = totals[:-1] + totals[1:] - 2 * mins
     return sums / (frames.shape[1] * frames.shape[2]) / 255.0
 
@@ -237,10 +262,9 @@ def flow_shift(frames) -> np.ndarray:
     does. All transitions are ranked by one int64 product against the
     circulant of each next profile; being exact, it keeps exact ties exact
     (no overflow while w * (255 * h)**2 < 2**63), and a constant profile
-    ties every shift and yields 0. The column sums are taken in uint32, then
-    widened: 255 * h < 2**32 already follows from that bound for any w >= 2.
+    ties every shift and yields 0.
     """
-    profiles = _frame_stack(frames).sum(axis=1, dtype=np.uint32).astype(np.int64)
+    profiles = _column_sums(_frame_stack(frames))
     w = profiles.shape[1]
     shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
     nxt = profiles[1:]

@@ -6,6 +6,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+import itertools
 import json
 
 import numpy as np
@@ -37,26 +38,42 @@ def trusted_registry(device_pair) -> Registry:
 
 
 @pytest.fixture
-def low_rate_capture_dir(tmp_path) -> Path:
+def pack_capture_dir(tmp_path):
+    """Packs capture.rsc by hand, for captures that SceneCapture refuses.
+
+    Returns make(frame_count=16, frame_rate=8, sample_rate=8000, audio=None):
+    genuine scene 1 cut to its first frame_count frames, with the rates and
+    audio given (its own audio when None), in a new directory under tmp_path.
+    """
+    cap = generate_genuine_scene(1)
+    assert (cap.frame_count, cap.frame_rate, cap.sample_rate) == (16, 8, 8000)
+    names = itertools.count()
+
+    def make(frame_count=16, frame_rate=8, sample_rate=8000, audio=None) -> Path:
+        audio = cap.audio if audio is None else np.asarray(audio)
+        meta = {
+            "device_id": cap.device_id, "frame_count": frame_count, "frame_rate": frame_rate,
+            "height": cap.height, "pixels_per_radian": cap.pixels_per_radian,
+            "sample_count": audio.size, "sample_rate": sample_rate,
+            "thermal_height": cap.thermal.shape[0], "thermal_width": cap.thermal.shape[1],
+            "timestamp_unix": cap.timestamp_unix, "width": cap.width,
+        }
+        body = capture_rsc_body(cap.depth_maps, cap.thermal, audio,
+                                cap.yaw_rates[:frame_count], cap.frames[:frame_count])
+        root = tmp_path / f"packed-{next(names)}"
+        root.mkdir()
+        (root / "capture.rsc").write_bytes(
+            pack_capture_rsc(json.dumps(meta, separators=(",", ":")).encode(), body))
+        return root
+
+    return make
+
+
+@pytest.fixture
+def low_rate_capture_dir(pack_capture_dir) -> Path:
     """A capture dir of 16 frames at 8 fps whose audio is 8 samples at 4 Hz.
 
     The audio covers the frame span, but every other frame window holds no
-    sample. SceneCapture refuses such a capture, so its capture.rsc is packed
-    by hand.
+    sample.
     """
-    cap = generate_genuine_scene(1)
-    assert (cap.frame_count, cap.frame_rate) == (16, 8)
-    meta = {
-        "device_id": cap.device_id, "frame_count": 16, "frame_rate": 8,
-        "height": cap.height, "pixels_per_radian": cap.pixels_per_radian,
-        "sample_count": 8, "sample_rate": 4, "thermal_height": cap.thermal.shape[0],
-        "thermal_width": cap.thermal.shape[1], "timestamp_unix": cap.timestamp_unix,
-        "width": cap.width,
-    }
-    body = capture_rsc_body(cap.depth_maps, cap.thermal, np.full(8, 0.25), cap.yaw_rates,
-                            cap.frames)
-    root = tmp_path / "low-rate"
-    root.mkdir()
-    (root / "capture.rsc").write_bytes(
-        pack_capture_rsc(json.dumps(meta, separators=(",", ":")).encode(), body))
-    return root
+    return pack_capture_dir(sample_rate=4, audio=np.full(8, 0.25))

@@ -2,7 +2,8 @@
 
 Each is deliberately written on a different route than the library code it
 checks: the plane fit solves raw-coordinate normal equations instead of the
-centered orthogonal closed form, lag search uses np.corrcoef and sorted
+centered orthogonal closed form, motion energy sums int64 |a - b| instead
+of uint16-block sums of a + b - 2 min(a, b), lag search uses np.corrcoef and sorted
 selection instead of streaming preference order, the manifest parse goes
 through a general JSON decoder instead of the canonical grammar, the registry
 load checks each line's fields on its own instead of matching the whole file
@@ -95,6 +96,13 @@ def best_lag_reference(x, y, max_lag: int):
     tied = [lag for rho, lag in candidates if rho == best_rho]
     lag = min(tied, key=lambda l: (abs(l), l >= 0))
     return lag, best_rho
+
+
+def motion_energy_reference(pixel_frames) -> np.ndarray:
+    """Mean |a - b| / 255 per transition, from int64 pixel differences."""
+    f = np.asarray(pixel_frames, dtype=np.int64)
+    sums = np.abs(f[1:] - f[:-1]).sum(axis=(1, 2))
+    return sums / (f.shape[1] * f.shape[2]) / 255.0
 
 
 def flow_shift_reference(pixel_frames) -> list[int]:

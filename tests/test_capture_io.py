@@ -301,6 +301,20 @@ def test_audio_slower_than_frames_is_corrupt(low_rate_capture_dir):
         read_capture_dir(low_rate_capture_dir)
 
 
+@pytest.mark.parametrize("frame_count", [1, 2, 3])
+def test_capture_of_fewer_than_four_frames_is_refused(pack_capture_dir, frame_count):
+    # the audio-sync scorer needs three transitions
+    with pytest.raises(CaptureError, match="at least 4 frames"):
+        read_capture_dir(pack_capture_dir(frame_count=frame_count))
+
+
+@pytest.mark.parametrize("rate", [2**59, 2**62, 2**70], ids=["2**59", "2**62", "2**70"])
+def test_frame_span_past_int64_is_refused(pack_capture_dir, rate):
+    # 16 frames at 2**59 Hz put the last window bound at 2**63, one past int64
+    with pytest.raises(CaptureError, match=r"frame_count \* sample_rate must be below 2\*\*63"):
+        read_capture_dir(pack_capture_dir(frame_rate=rate, sample_rate=rate))
+
+
 def test_bad_magic_is_corrupt(tmp_path):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     data = _rsc(root).read_bytes()

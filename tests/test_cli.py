@@ -190,6 +190,23 @@ def test_seal_audio_slower_than_frames_is_data_error(low_rate_capture_dir, tmp_p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(frame_count=1), "at least 4 frames"),
+    (dict(frame_count=3), "at least 4 frames"),
+    (dict(frame_rate=2**62, sample_rate=2**62), "below 2**63"),
+    (dict(frame_rate=2**70, sample_rate=2**70), "below 2**63"),
+], ids=["1-frame", "3-frame", "rate-2**62", "rate-2**70"])
+def test_seal_unscorable_capture_is_data_error(pack_capture_dir, tmp_path, capsys,
+                                               fields, message):
+    keys = tmp_path / "keys"
+    run(capsys, "keygen", "CAM-001", "--seed", SEED_HEX, "--out", str(keys))
+    code, _, err = run(capsys, "seal", str(pack_capture_dir(**fields)),
+                       "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_seal_json_emits_manifest(sealed_setup, tmp_path, capsys):
     code, out, _ = run(capsys, "seal", str(sealed_setup["capture"]),
                        "--key", str(sealed_setup["keys"] / "CAM-001.sk"),

@@ -7,13 +7,14 @@ from realseal import (
     CaptureError,
     SceneCapture,
     ScenarioParams,
+    score_capture,
     generate_genuine_scene,
     generate_printed_photo_scene,
     generate_scene,
     generate_screen_replay_scene,
 )
 from realseal.scenarios import SCENARIO_NAMES
-from realseal.scene import SCENARIOS, _pan
+from realseal.scene import SCENARIOS, _audio_from_envelope, _pan
 from realseal.scoring import motion_energy
 
 from oracles import plane_rms_normal_equations
@@ -82,6 +83,23 @@ def test_genuine_audio_envelope_tracks_motion():
         hi = -(-((k + 1) * sr) // fr)
         rms = np.sqrt(np.mean(x[lo:hi] ** 2))
         assert rms == pytest.approx(m[k - 1], abs=1e-6)
+
+
+@pytest.mark.parametrize("params", [
+    ScenarioParams(width=2),
+    ScenarioParams(width=3),  # a shift of 2 wraps to -1
+    ScenarioParams(),
+    ScenarioParams(width=128, height=128, frame_count=32),
+], ids=["w2", "w3", "desk", "large"])
+def test_genuine_audio_is_built_from_the_motion_energy_of_every_frame(params):
+    # the generator takes the energies from one pan per shift size; built
+    # from the whole stack instead, the audio is the same to the bit
+    cap = generate_genuine_scene(42, params)
+    m = motion_energy(cap.frames)
+    env = np.concatenate([[m[0]], m])
+    expected = _audio_from_envelope(env, params.frame_count, params.frame_rate,
+                                    params.sample_rate)
+    assert np.array_equal(cap.audio, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +182,9 @@ def test_small_params_still_valid():
     dict(body_temp_c=None),
     dict(depth_base_m=True),
     dict(screen_temp_c=float("inf")),
+    # frame_count * sample_rate past int64: 16 * 2**59 == 2**63
+    dict(sample_rate=2**59, frame_rate=2**59),
+    dict(sample_rate=2**70, frame_rate=2**70),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
@@ -204,6 +225,39 @@ def _with_stacks(frames, depth_maps) -> SceneCapture:
         device_id="T-1",
         timestamp_unix=0,
     )
+
+
+@pytest.mark.parametrize("frame_count", [0, 1, 2, 3])
+def test_capture_of_fewer_than_four_frames_is_refused(frame_count):
+    # the audio-sync scorer needs three transitions
+    cap = generate_genuine_scene(1)
+    with pytest.raises(CaptureError, match="at least 4 frames"):
+        dataclasses.replace(cap, frames=cap.frames[:frame_count],
+                            yaw_rates=cap.yaw_rates[:frame_count])
+
+
+def _four_blank_frames(rate: int) -> SceneCapture:
+    """Four 2x2 frames at `rate` fps, with one audio sample per frame."""
+    return SceneCapture(
+        frames=np.zeros((4, 2, 2), dtype=np.uint8),
+        depth_maps=np.full((1, 2, 2), 2.0, dtype=np.float32),
+        thermal=np.full((2, 2), 20.0, dtype=np.float32),
+        audio=np.zeros(4, dtype=np.float32),
+        sample_rate=rate,
+        yaw_rates=np.zeros(4, dtype=np.float32),
+        frame_rate=rate,
+        device_id="T-1",
+        timestamp_unix=0,
+    )
+
+
+def test_frame_span_bound_to_int64():
+    # 4 * (2**61 - 1) is the last window bound, and int64 holds it
+    _, score = score_capture(_four_blank_frames(2**61 - 1))
+    assert 0.0 <= score <= 1.0
+    for rate in (2**61, 2**70):
+        with pytest.raises(CaptureError, match=r"below 2\*\*63"):
+            _four_blank_frames(rate)
 
 
 def test_luma_frame_validation():

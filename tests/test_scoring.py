@@ -26,7 +26,12 @@ from realseal import (
 )
 from realseal.scoring import score_audio_sync, score_av_alignment
 
-from oracles import best_lag_reference, flow_shift_reference, plane_rms_normal_equations
+from oracles import (
+    best_lag_reference,
+    flow_shift_reference,
+    motion_energy_reference,
+    plane_rms_normal_equations,
+)
 
 # frozen fixture values, derived with independent arithmetic:
 #   center-bump 3x3: SSE = (4/9)^2 + 8*(1/18)^2 = 2/9, rms = sqrt(2/81)
@@ -204,6 +209,47 @@ def test_motion_energy_checkerboard_inversion():
     assert motion_energy(_frames(board, 255 - board))[0] == 1.0
 
 
+def _random_stack(seed, shape):
+    return np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.uint8)
+
+
+def _swing(height):
+    """All-0, all-255, all-0 frames: every uint16 block sums to its maximum."""
+    frames = np.zeros((3, height, 3), dtype=np.uint8)
+    frames[1] = 255
+    return frames
+
+
+_TALL = _random_stack(4, (4, 600, 5))
+
+
+@pytest.mark.parametrize("frames", [
+    # 257 rows fill one uint16 block; 258 and 600 take two and three
+    _random_stack(1, (5, 2, 7)),
+    _random_stack(2, (4, 257, 6)),
+    _random_stack(3, (4, 258, 6)),
+    _TALL,
+    _swing(257),
+    _swing(514),
+    np.broadcast_to(_TALL[:, :, :1], _TALL.shape),
+    _TALL[:, ::2],
+    _TALL[..., ::-1],
+], ids=["h2", "h257", "h258", "h600", "swing-257", "swing-514", "broadcast",
+        "every-other-row", "reversed-columns"])
+def test_motion_energy_matches_reference(frames):
+    assert np.array_equal(motion_energy(frames), motion_energy_reference(frames))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float64])
+def test_frame_stack_must_be_uint8(dtype):
+    # the column sums are exact for uint8 pixels only
+    frames = np.zeros((3, 4, 4), dtype=dtype)
+    with pytest.raises(ValueError, match="uint8"):
+        motion_energy(frames)
+    with pytest.raises(ValueError, match="uint8"):
+        flow_shift(frames)
+
+
 def test_motion_energy_dimension_mismatch():
     # frames of different sizes do not form a stack; one 2-D frame is not a stack
     with pytest.raises(ValueError):
@@ -349,10 +395,6 @@ def test_flow_shift_matches_reference_on_large_scenarios(scenario):
     assert list(flow_shift(frames)) == flow_shift_reference(frames)
 
 
-def _random_stack(seed, shape):
-    return np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.uint8)
-
-
 def _constant_and_textured():
     frames = _random_stack(3, (5, 4, 8))
     frames[::2] = 9  # constant frames 0, 2 and 4 leave every correlation undefined
@@ -362,12 +404,13 @@ def _constant_and_textured():
 @pytest.mark.parametrize("frames", [
     _random_stack(1, (6, 4, 2)),  # w = 2: shifts -1 and +1 are the same roll
     _random_stack(2, (6, 5, 9)),  # odd w
+    _random_stack(9, (4, 300, 9)),  # two uint16 blocks per column sum
     _constant_and_textured(),
     # Column sums p1 = [4,2,7,7,5] and p2 = [14,9,16,3,8] have integer means, so
     # the reference's float correlations are exact too: s = -2 and s = +2 both
     # reach the maximum dot product 269, and the tie goes to the negative shift.
     _frames([[1, 2, 3, 4, 2], [3, 0, 4, 3, 3]], [[9, 5, 8, 2, 5], [5, 4, 8, 1, 3]]),
-], ids=["w2", "odd-w", "constant-frames", "two-way-tie"])
+], ids=["w2", "odd-w", "h300", "constant-frames", "two-way-tie"])
 def test_flow_shift_matches_reference_on_random_stacks(frames):
     assert list(flow_shift(frames)) == flow_shift_reference(frames)
 
@@ -384,6 +427,20 @@ def test_flow_shift_peak_memory_below_one_mib():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_motion_energy_peak_memory_below_one_pair_stack():
+    # np.minimum over the 31 frame pairs is the one full-size temporary; a
+    # second one, even in uint8, would break the bound
+    frames = generate_scene("genuine", 1, LARGE).frames
+    motion_energy(frames)
+    tracemalloc.start()
+    try:
+        motion_energy(frames)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 31 * 128 * 128 + (128 << 10)
 
 
 # ---------------------------------------------------------------------------
