@@ -28,7 +28,7 @@ from .errors import CaptureError
 from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int, _is_location
 from .rng import Stream, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
-from .scoring import motion_energy, window_bounds
+from .scoring import _flow_is_exact, motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
@@ -57,6 +57,13 @@ def _check_frame_span(frame_count: int, sample_rate: int) -> None:
     sample_rate >= frame_rate, this bounds both rates."""
     if frame_count * sample_rate >= 2**63:
         raise CaptureError("frame_count * sample_rate must be below 2**63")
+
+
+def _check_frame_shape(height: int, width: int) -> None:
+    """Refuse frames so large that a flow_shift dot product, at most
+    w * (255 * h)**2, would not fit int64."""
+    if not _flow_is_exact(height, width):
+        raise CaptureError("frames too large: width * (255 * height)**2 must be below 2**63")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -103,6 +110,7 @@ class SceneCapture:
             raise CaptureError("frame pixels must be uint8")
         if frames.ndim != 3 or min(frames.shape[1:]) < 2:
             raise CaptureError("frames must be an (F,H,W) stack with width, height >= 2")
+        _check_frame_shape(*frames.shape[1:])
         if frames.shape[0] < MIN_FRAME_COUNT:
             raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
         if depths.dtype != np.float32:
@@ -213,6 +221,7 @@ class ScenarioParams:
             raise CaptureError("dimensions and rates must be positive integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")
+        _check_frame_shape(self.height, self.width)
         if self.frame_count < MIN_FRAME_COUNT:
             raise CaptureError(f"frame_count must be at least {MIN_FRAME_COUNT}")
         _check_frame_span(self.frame_count, self.sample_rate)
@@ -229,9 +238,11 @@ def _texture(seed: int, width: int, height: int) -> np.ndarray:
     """Horizontally smoothed random texture; column-correlated so per-frame
     motion energy grows with shift size."""
     raw = fill_unit(seed, width * height).reshape(height, width)
-    sm = raw + np.roll(raw, 1, axis=1)
-    sm += np.roll(raw, 2, axis=1)
-    sm += np.roll(raw, 3, axis=1)
+    # pad[:, 3 + j - s] == np.roll(raw, s, axis=1)[:, j], for s = 0..3
+    pad = np.take(raw, np.arange(-3, width), axis=1, mode="wrap")
+    sm = pad[:, 3:] + pad[:, 2:-1]
+    sm += pad[:, 1:-2]
+    sm += pad[:, :-3]
     sm /= 4.0
     sm *= 175.0
     sm += 40.0
@@ -250,24 +261,38 @@ def _pan_shifts(phase: int, frame_count: int) -> np.ndarray:
 
 def _imu_for_shifts(shifts: np.ndarray, pixels_per_radian: float) -> np.ndarray:
     """Instantaneous yaw rates whose trapezoidal average reproduces each
-    per-transition pixel shift exactly: (u[k]+u[k+1])/2 * ppr == shift[k]."""
-    u = np.empty(len(shifts) + 1, dtype=np.float64)
-    u[0] = shifts[0]
-    for k, t in enumerate(shifts):
-        u[k + 1] = 2.0 * t - u[k]
+    per-transition pixel shift exactly: (u[k]+u[k+1])/2 * ppr == shift[k].
+
+    u[0] = shift[0] and u[k+1] = 2*shift[k] - u[k]; with v[k] = (-1)**k * u[k]
+    that is v[k+1] = v[k] + (-1)**(k+1) * 2*shift[k], a cumulative sum, exact
+    in int64.
+    """
+    signs = 1 - 2 * (np.arange(len(shifts) + 1) & 1)
+    steps = np.empty(len(shifts) + 1, dtype=np.int64)
+    steps[0] = shifts[0]
+    steps[1:] = 2 * signs[1:] * shifts
+    u = np.cumsum(steps) * signs
     return (u / pixels_per_radian).astype(np.float32)
 
 
 def _audio_from_envelope(env: np.ndarray, frame_count: int, frame_rate: int,
                          sample_rate: int) -> np.ndarray:
-    """Alternating-sign carrier whose per-window RMS equals env[k] exactly."""
-    samples = np.repeat(env, np.diff(window_bounds(frame_count, frame_rate, sample_rate)))
+    """Alternating-sign carrier whose per-window RMS equals env[k] exactly.
+
+    Rounding env to float32 first gives the same samples as rounding the
+    float64 carrier: rounding commutes with the repeat and the sign flips.
+    """
+    samples = np.repeat(env.astype(np.float32),
+                        np.diff(window_bounds(frame_count, frame_rate, sample_rate)))
     samples[1::2] *= -1.0
-    return samples.astype(np.float32)
+    return samples
 
 
 def _noise(seed: int, width: int, height: int, half_range: float) -> np.ndarray:
-    return (fill_unit(seed, width * height).reshape(height, width) - 0.5) * (2.0 * half_range)
+    noise = fill_unit(seed, width * height).reshape(height, width)
+    noise -= 0.5
+    noise *= 2.0 * half_range
+    return noise
 
 
 def _body_rect(u: tuple[float, float, float, float], width: int, height: int) -> tuple[slice, slice]:
@@ -295,7 +320,8 @@ def _tilted_plane(stream: Stream, params: ScenarioParams) -> np.ndarray:
 
 def _uniform_thermal(seed: int, level_c: float, params: ScenarioParams) -> np.ndarray:
     # +-0.02 C synthetic sensor noise: population std stays below 0.05 C.
-    temps = level_c + _noise(seed, params.width, params.height, 0.02)
+    temps = _noise(seed, params.width, params.height, 0.02)
+    temps += level_c
     return temps.astype(np.float32)
 
 
@@ -344,14 +370,15 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
 
     # Two depth layers exactly 1 m apart (plus +-5 cm surface noise), seen
     # unshifted at frame 0, the sealed frame.
-    base_depth = params.depth_base_m + _noise(depth_seed, params.width, params.height, 0.05)
+    base_depth = _noise(depth_seed, params.width, params.height, 0.05)
+    base_depth += params.depth_base_m
     base_depth[rect] -= 1.0
     depth_maps = base_depth.astype(np.float32)[np.newaxis]
 
     xs = np.arange(params.width, dtype=np.float64)
     gradient = 2.0 * (xs / max(params.width - 1, 1) - 0.5)
-    temps = params.ambient_temp_c + gradient[np.newaxis, :] + _noise(
-        thermal_seed, params.width, params.height, 0.1)
+    temps = _noise(thermal_seed, params.width, params.height, 0.1)
+    temps += params.ambient_temp_c + gradient
     temps[rect] = params.body_temp_c + _noise(
         thermal_seed ^ 0xA5A5A5A5, params.width, params.height, 0.2)[rect]
 

@@ -140,10 +140,18 @@ def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
     return np.sqrt(np.add.reduceat(x, bounds[:-1]) / widths)
 
 
+def _flow_is_exact(height: int, width: int) -> bool:
+    """True while every flow_shift dot product, at most w * (255 * h)**2, fits
+    int64; on Python ints, so the check itself cannot overflow."""
+    return width * (255 * height) ** 2 < 2**63
+
+
 def _frame_stack(frames) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.dtype != np.uint8 or frames.ndim != 3 or len(frames) < 2:
         raise ValueError("expected an (F,H,W) uint8 frame stack with at least 2 frames")
+    if not _flow_is_exact(frames.shape[1], frames.shape[2]):
+        raise ValueError("frame stack too large: w * (255 * h)**2 must be below 2**63")
     return frames
 
 
@@ -166,8 +174,13 @@ def _column_sums(stack: np.ndarray) -> np.ndarray:
 def motion_energy(frames) -> np.ndarray:
     """Mean |pixel delta| / 255 for each consecutive pair of an (F,H,W) stack."""
     frames = _frame_stack(frames)
+    return _motion_energy(frames, _column_sums(frames))
+
+
+def _motion_energy(frames: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """motion_energy of a checked stack whose column sums are ``cols``."""
     # |a - b| = a + b - 2 min(a, b): one uint8 temporary, every sum exact in int64
-    totals = _column_sums(frames).sum(axis=1)
+    totals = cols.sum(axis=1)
     mins = _column_sums(np.minimum(frames[:-1], frames[1:])).sum(axis=1)
     sums = totals[:-1] + totals[1:] - 2 * mins
     return sums / (frames.shape[1] * frames.shape[2]) / 255.0
@@ -238,11 +251,14 @@ def score_av_alignment(envelope_tail, motion) -> float:
 
 
 def score_audio_sync(capture: SceneCapture) -> float:
+    return _score_audio_sync(capture, motion_energy(capture.frames))
+
+
+def _score_audio_sync(capture: SceneCapture, motion: np.ndarray) -> float:
     env = audio_envelope(capture.audio, capture.sample_rate, capture.frame_rate,
                          capture.frame_count)
-    m = motion_energy(capture.frames)
     # env[k+1] lines up with the transition into frame k+1
-    return score_av_alignment(env[1:], m)
+    return score_av_alignment(env[1:], motion)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +276,15 @@ def flow_shift(frames) -> np.ndarray:
     A circular shift changes neither the mean nor the variance of a profile,
     so rho ranks shifts exactly as the integer dot product p1 . roll(p2, -s)
     does. All transitions are ranked by one int64 product against the
-    circulant of each next profile; being exact, it keeps exact ties exact
-    (no overflow while w * (255 * h)**2 < 2**63), and a constant profile
-    ties every shift and yields 0.
+    circulant of each next profile; being exact, it keeps exact ties exact,
+    and a constant profile ties every shift and yields 0. A stack with
+    w * (255 * h)**2 >= 2**63, where the product could overflow, is refused.
     """
-    profiles = _column_sums(_frame_stack(frames))
+    return _flow_shift(_column_sums(_frame_stack(frames)))
+
+
+def _flow_shift(profiles: np.ndarray) -> np.ndarray:
+    """flow_shift of the stack whose column-sum profiles are ``profiles``."""
     w = profiles.shape[1]
     shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
     nxt = profiles[1:]
@@ -282,7 +302,11 @@ def score_motion(capture: SceneCapture) -> float:
     consistent only when both read zero everywhere (static camera), scoring
     1.0; any one-sided claim of motion scores 0.0.
     """
-    f = flow_shift(capture.frames).astype(np.float64)
+    return _score_motion(capture, flow_shift(capture.frames))
+
+
+def _score_motion(capture: SceneCapture, shifts: np.ndarray) -> float:
+    f = shifts.astype(np.float64)
     u = capture.yaw_rates.astype(np.float64)
     g = (u[:-1] + u[1:]) / 2.0 * capture.pixels_per_radian
     rho = _pearson(f, g)
@@ -306,11 +330,16 @@ def aggregate(scores: DimensionScores) -> float:
 
 
 def score_capture(capture: SceneCapture) -> tuple[DimensionScores, float]:
-    """Run all four scorers (depth on frame 0) and aggregate."""
+    """Run all four scorers (depth on frame 0) and aggregate.
+
+    The frame stack's column sums are taken once and feed both motion
+    energy and flow shift; SceneCapture has already checked the stack.
+    """
+    cols = _column_sums(capture.frames)
     dims = DimensionScores(
         depth=score_depth(capture.depth_maps[0]),
         thermal=score_thermal(capture.thermal),
-        audio_sync=score_audio_sync(capture),
-        motion=score_motion(capture),
+        audio_sync=_score_audio_sync(capture, _motion_energy(capture.frames, cols)),
+        motion=_score_motion(capture, _flow_shift(cols)),
     )
     return dims, aggregate(dims)

@@ -5,8 +5,11 @@ into the manifest, and Ed25519 (RFC 8032) signs the canonical manifest
 bytes. The signature covers the manifest only; the image is bound through
 its digest field, so manifest integrity remains checkable without the image.
 
-Trust boundary: seal() and key generation are the only operations that touch
-the 32-byte secret seed; nothing here ever logs or prints it.
+Trust boundary: key generation, key-file I/O and a DeviceKeyPair are the
+only holders of the 32-byte secret seed. A pair builds its private-key
+object from the seed once, when it is made, and seal() signs with that
+object; neither the seed nor the key object appears in a pair's repr or
+takes part in its equality, and nothing here ever logs or prints them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -57,9 +60,21 @@ class DeviceKeyPair:
     device_id: str
     secret_seed: bytes
     public_key: bytes
+    # built once from secret_seed, so seal() does not re-derive it per call
+    _private_key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.secret_seed) != SEED_LEN:
+            raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
+        object.__setattr__(self, "_private_key",
+                           Ed25519PrivateKey.from_private_bytes(bytes(self.secret_seed)))
 
     def __repr__(self) -> str:  # never expose the seed in logs/tracebacks
         return f"DeviceKeyPair(device_id={self.device_id!r}, public_key={self.public_key.hex()})"
+
+    def __reduce__(self):
+        # the key object does not pickle; a copy rebuilds it from the seed
+        return DeviceKeyPair, (self.device_id, self.secret_seed, self.public_key)
 
 
 @dataclass(frozen=True)
@@ -146,7 +161,7 @@ def seal(
         image_sha256=image_hash(image_bytes),
         location=location,
     )
-    signature = sign_data(identity.secret_seed, canonical_encode(manifest))
+    signature = identity._private_key.sign(canonical_encode(manifest))
     return SealedBundle(image_bytes=bytes(image_bytes), manifest=manifest, signature=signature)
 
 

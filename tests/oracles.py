@@ -8,8 +8,11 @@ selection instead of streaming preference order, the manifest parse goes
 through a general JSON decoder instead of the canonical grammar, the registry
 load checks each line's fields on its own instead of matching the whole file
 against one grammar, the capture file is packed value by value with struct
-instead of from array buffers, and Ed25519 is a direct affine-arithmetic
-transcription of RFC 8032 rather than a binding to a crypto library.
+instead of from array buffers, the scene's yaw rates, texture and audio
+carrier are built by the step-by-step recurrence, np.roll copies and a
+float64 carrier instead of a cumulative sum, padded views and float32, and
+Ed25519 is a direct affine-arithmetic transcription of RFC 8032 rather than a
+binding to a crypto library.
 """
 
 from __future__ import annotations
@@ -46,6 +49,39 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = z ^ (z >> 31)
         out.append(z)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scene synthesis, step by step
+# ---------------------------------------------------------------------------
+
+def imu_for_shifts_reference(shifts, pixels_per_radian: float) -> np.ndarray:
+    """Yaw rates from the recurrence u[k+1] = 2*shift[k] - u[k], u[0] = shift[0]."""
+    u = np.empty(len(shifts) + 1, dtype=np.float64)
+    u[0] = shifts[0]
+    for k, t in enumerate(shifts):
+        u[k + 1] = 2.0 * t - u[k]
+    return (u / pixels_per_radian).astype(np.float32)
+
+
+def texture_reference(raw: np.ndarray) -> np.ndarray:
+    """The scene texture of an (H, W) unit-noise grid: the mean of the grid
+    rolled by 0..3 columns, scaled to 40 + 175 * mean, cast to uint8."""
+    sm = raw + np.roll(raw, 1, axis=1)
+    sm += np.roll(raw, 2, axis=1)
+    sm += np.roll(raw, 3, axis=1)
+    sm /= 4.0
+    sm *= 175.0
+    sm += 40.0
+    return sm.astype(np.uint8)
+
+
+def audio_from_envelope_reference(env, widths) -> np.ndarray:
+    """A float64 carrier of env[k] repeated widths[k] times, every second
+    sample negated, cast to float32 last."""
+    samples = np.repeat(np.asarray(env, dtype=np.float64), widths)
+    samples[1::2] *= -1.0
+    return samples.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

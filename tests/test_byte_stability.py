@@ -14,11 +14,15 @@ when a capture dir came to hold one depth map, ``depth_0000.rsd``, in place
 of one per frame, and again when it came to hold one file, ``capture.rsc``,
 in place of a PGM per frame and five other files: the same arrays and
 metadata, laid out in one file. The sealed digest was re-pinned neither time.
+
+A third digest covers the scores themselves: the stdout of
+``realseal bench --seed 1..30 --json``, every dimension score and overall
+score of 90 desk-scale captures.
 """
 
 import hashlib
 
-from realseal import encode_frame_pgm, seal, write_capture_dir, write_sidecar
+from realseal import cli, encode_frame_pgm, seal, write_capture_dir, write_sidecar
 from realseal.scene import ScenarioParams, generate_scene
 from realseal.scoring import score_capture
 
@@ -33,6 +37,7 @@ CASES = [
 
 SEALED_DIGEST = "e52fde2d032de559abe801bcfc2ed294b274e91be20fd53ac7864f911be915c6"
 CAPTURE_DIR_DIGEST = "00b5bd0b100741885dad878f288c7f2b1a2d3d4e7f14f041d726d1b1b42fc668"
+BENCH_JSON_DIGEST = "4560c85025fc954f8e451453ff897c90b24c9027771d0104658650fc7fa07102"
 
 
 def _captures():
@@ -67,3 +72,9 @@ def test_capture_dir_bytes_match_pinned_digest(tmp_path):
         for f in sorted(root.iterdir()):
             _update(h, f.name, f.read_bytes())
     assert h.hexdigest() == CAPTURE_DIR_DIGEST
+
+
+def test_bench_json_matches_pinned_digest(capsys):
+    assert cli.main(["bench", "--seed", "1..30", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCH_JSON_DIGEST

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +14,25 @@ from realseal import (
     generate_scene,
     generate_screen_replay_scene,
 )
+from realseal.rng import fill_unit
 from realseal.scenarios import SCENARIO_NAMES
-from realseal.scene import SCENARIOS, _audio_from_envelope, _pan
-from realseal.scoring import motion_energy
+from realseal.scene import (
+    PIXELS_PER_RADIAN,
+    SCENARIOS,
+    _audio_from_envelope,
+    _imu_for_shifts,
+    _pan,
+    _pan_shifts,
+    _texture,
+)
+from realseal.scoring import motion_energy, window_bounds
 
-from oracles import plane_rms_normal_equations
+from oracles import (
+    audio_from_envelope_reference,
+    imu_for_shifts_reference,
+    plane_rms_normal_equations,
+    texture_reference,
+)
 
 GENERATORS = [generate_genuine_scene, generate_screen_replay_scene, generate_printed_photo_scene]
 
@@ -207,6 +222,33 @@ def test_pan_matches_per_frame_roll(dtype):
     assert np.array_equal(stack, np.stack([np.roll(base, int(o), axis=1) for o in offsets]))
 
 
+@pytest.mark.parametrize("phase", range(4))
+@pytest.mark.parametrize("frame_count", [4, 5, 16, 33])
+@pytest.mark.parametrize("ppr", [PIXELS_PER_RADIAN, 3.0, 1e6])
+def test_imu_matches_the_recurrence(phase, frame_count, ppr):
+    shifts = _pan_shifts(phase, frame_count)
+    assert np.array_equal(_imu_for_shifts(shifts, ppr), imu_for_shifts_reference(shifts, ppr))
+
+
+@pytest.mark.parametrize("width", range(2, 10))
+@pytest.mark.parametrize("height", [2, 5, 32])
+def test_texture_matches_the_rolled_sum(width, height):
+    for seed in (0, 1, 2**64 - 1):
+        raw = fill_unit(seed, width * height).reshape(height, width)
+        assert np.array_equal(_texture(seed, width, height), texture_reference(raw))
+
+
+@pytest.mark.parametrize("frame_count, frame_rate, sample_rate",
+                         [(16, 8, 8000), (6, 3, 1000), (5, 7, 7)])
+def test_audio_carrier_matches_the_float64_route(frame_count, frame_rate, sample_rate):
+    env = np.concatenate([[0.0, 1e-9, 1.0], 0.1 + 0.4 * fill_unit(3, frame_count)])[:frame_count]
+    widths = np.diff(window_bounds(frame_count, frame_rate, sample_rate))
+    got = _audio_from_envelope(env, frame_count, frame_rate, sample_rate)
+    want = audio_from_envelope_reference(env, widths)
+    # equal to the bit, the sign of zero included
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # component type validation
 # ---------------------------------------------------------------------------
@@ -258,6 +300,31 @@ def test_frame_span_bound_to_int64():
     for rate in (2**61, 2**70):
         with pytest.raises(CaptureError, match=r"below 2\*\*63"):
             _four_blank_frames(rate)
+
+
+def _largest_exact_height(width: int) -> int:
+    """The largest h with width * (255 * h)**2 < 2**63."""
+    h = math.isqrt((2**63 - 1) // width) // 255
+    assert width * (255 * h) ** 2 < 2**63 <= width * (255 * (h + 1)) ** 2
+    return h
+
+
+@pytest.mark.parametrize("width", [2, 7, 4096])
+def test_params_past_the_flow_bound_are_refused(width):
+    h = _largest_exact_height(width)
+    assert ScenarioParams(width=width, height=h).height == h
+    with pytest.raises(CaptureError, match=r"below 2\*\*63"):
+        ScenarioParams(width=width, height=h + 1)
+
+
+def test_frames_past_the_flow_bound_are_refused():
+    # a broadcast view: 10.6M rows that take no memory
+    h = 10_600_000
+    assert h > _largest_exact_height(2)
+    frames = np.broadcast_to(np.array([[255, 153]], dtype=np.uint8), (4, h, 2))
+    cap = _four_blank_frames(8)
+    with pytest.raises(CaptureError, match=r"below 2\*\*63"):
+        dataclasses.replace(cap, frames=frames)
 
 
 def test_luma_frame_validation():

@@ -24,6 +24,7 @@ from realseal import (
     score_motion,
     score_thermal,
 )
+from realseal import scoring
 from realseal.scoring import score_audio_sync, score_av_alignment
 
 from oracles import (
@@ -593,3 +594,52 @@ def test_all_scores_within_unit_interval():
             dims, overall = score_capture(gen(seed))
             for v in (*dims.as_dict().values(), overall):
                 assert 0.0 <= v <= 1.0
+
+
+@pytest.mark.parametrize("params", [ScenarioParams(), LARGE], ids=["desk", "large"])
+@pytest.mark.parametrize("scenario", ["genuine", "screen-replay", "printed-photo"])
+def test_score_capture_equals_the_standalone_scorers(scenario, params):
+    # the shared column sums change no score: equal to the bit
+    for seed in range(1, 31):
+        cap = generate_scene(scenario, seed, params)
+        dims = DimensionScores(
+            depth=score_depth(cap.depth_maps[0]),
+            thermal=score_thermal(cap.thermal),
+            audio_sync=score_audio_sync(cap),
+            motion=score_motion(cap),
+        )
+        assert score_capture(cap) == (dims, aggregate(dims))
+
+
+def test_score_capture_takes_the_frame_column_sums_once(monkeypatch):
+    cap = generate_scene("genuine", 1, LARGE)
+    seen = []
+    column_sums = scoring._column_sums
+
+    def counting(stack):
+        seen.append(stack.shape)
+        return column_sums(stack)
+
+    monkeypatch.setattr(scoring, "_column_sums", counting)
+    score_capture(cap)
+    # once for the frames, once for the pairwise minima of motion energy
+    assert seen == [cap.frames.shape, (31, 128, 128)]
+
+
+def _two_identical_frames(height: int) -> np.ndarray:
+    # a broadcast view: the rows take no memory
+    return np.broadcast_to(np.array([[255, 153]], dtype=np.uint8), (2, height, 2))
+
+
+def test_identical_frames_within_the_flow_bound_do_not_move():
+    frames = _two_identical_frames(1000)
+    assert list(flow_shift(frames)) == [0]
+    assert list(motion_energy(frames)) == [0.0]
+
+
+@pytest.mark.parametrize("scorer", [flow_shift, motion_energy])
+def test_stack_past_the_flow_bound_is_refused(scorer):
+    # 2 * (255 * 10_600_000)**2 >= 2**63: the int64 ranking could wrap and
+    # name a shift of -1 for two identical frames
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        scorer(_two_identical_frames(10_600_000))

@@ -1,14 +1,20 @@
+import copy
+import dataclasses
 import os
+import pickle
 import stat
 
 import numpy as np
 import pytest
 
 from realseal import (
+    TRUSTED,
+    DeviceKeyPair,
     DimensionScores,
     RealismManifest,
     RealSealError,
     Registry,
+    RegistryEntry,
     RegistryError,
     SidecarError,
     canonical_encode,
@@ -115,9 +121,46 @@ def test_keypair_repr_never_exposes_seed(device_pair):
     assert device_pair.secret_seed.hex() not in str(device_pair)
 
 
+def test_keypair_repr_and_equality_ignore_the_key_object(device_pair):
+    twin = keygen(device_pair.device_id, bytes(device_pair.secret_seed))
+    assert twin._private_key is not device_pair._private_key
+    assert twin == device_pair and hash(twin) == hash(device_pair)
+    assert repr(twin) == repr(device_pair)
+    assert "private" not in repr(device_pair).lower()
+    assert keygen("CAM-001", bytes(32)) != device_pair
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_keypair_copies_seal_like_the_original(device_pair, clone):
+    twin = clone(device_pair)
+    assert twin == device_pair
+    assert _bundle(twin).signature == _bundle(device_pair).signature
+
+
+def test_keypair_with_a_short_seed_is_refused(device_pair):
+    with pytest.raises(RealSealError, match="32 octets"):
+        DeviceKeyPair(device_pair.device_id, bytes(31), device_pair.public_key)
+
+
 # ---------------------------------------------------------------------------
 # seal
 # ---------------------------------------------------------------------------
+
+def test_seal_signs_like_sign_data(device_pair):
+    bundle = _bundle(device_pair)
+    assert bundle.signature == sign_data(device_pair.secret_seed,
+                                         canonical_encode(bundle.manifest))
+
+
+def test_replaced_keypair_seals_under_its_new_id(device_pair):
+    pair = dataclasses.replace(device_pair, device_id="CAM-002")
+    bundle = _bundle(pair)
+    assert bundle.manifest.device_id == "CAM-002"
+    registry = Registry((RegistryEntry("CAM-002", TRUSTED, pair.public_key.hex()),))
+    assert verify(bundle.image_bytes, write_sidecar(bundle), registry).verdict == "authentic"
+
 
 def test_seal_then_verify_authentic(device_pair, trusted_registry):
     bundle = _bundle(device_pair)
