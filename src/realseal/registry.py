@@ -8,7 +8,9 @@ form (entries only), so load/save round-trips canonical files byte-identically.
 
 load_registry() checks the whole file against one grammar before it builds
 any entry, so the entries of a file that matches are built without checking
-each field again, with the cyclic garbage collector paused. Only a file that
+each field again, with the cyclic garbage collector paused. By then the
+decoded text and its split list are gone, and no copy of the file is held:
+the load peaks near the size of the registry it returns. Only a file that
 does not match, or that repeats an id, goes through the per-line pass, whose
 one job is to report the first error with its line number.
 """
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import RegistryError
-from .manifest import _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE, _require_bytes
+from .manifest import (BYTES_LIKE, _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE,
+                       _require_bytes)
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
@@ -127,30 +130,46 @@ def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
     return Registry(registry.entries + (entry,))
 
 
-def load_registry(data: bytes) -> Registry:
-    """Parse registry file bytes; errors carry 1-based line numbers."""
+def _decode(data: object) -> str:
+    """data as text, decoded in place: bytes(data) would copy a bytearray or
+    a contiguous memoryview first."""
+    if not isinstance(data, BYTES_LIKE):
+        _require_bytes(data, RegistryError, "registry")  # raises, naming the type
+    if isinstance(data, memoryview) and not data.c_contiguous:
+        data = bytes(data)  # no single run of bytes to decode
     try:
-        text = _require_bytes(data, RegistryError, "registry").decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
-    if _FILE_GRAMMAR.fullmatch(text):
-        fields = (_COMMENT.sub("", text) if "#" in text else text).split()
-        statuses = list(map(_STATUSES.__getitem__, fields[1::3]))
-        # Entries hold only strings and form no reference cycles, so reference
-        # counting frees them and a collection pass over the new objects would
-        # find nothing; at 10^5 entries those passes cost ~60-80 ms.
-        # Not thread-safe with respect to another thread toggling the
-        # collector meanwhile: that change can be undone here.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return Registry(_unchecked_entries(fields[0::3], statuses, fields[2::3]))
-        except RegistryError:
-            pass  # a repeated id; the per-line pass names its line
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return _load_line_by_line(text)
+
+
+def load_registry(data: bytes) -> Registry:
+    """Parse registry file bytes; errors carry 1-based line numbers."""
+    text = _decode(data)
+    if not _FILE_GRAMMAR.fullmatch(text):
+        return _load_line_by_line(text)
+    fields = (_COMMENT.sub("", text) if "#" in text else text).split()
+    # Free the text, then the split list and its one status string per line,
+    # before the entries are built: at 10^5 lines they are ~16 MB.
+    del text
+    ids, keys = fields[0::3], fields[2::3]
+    statuses = list(map(_STATUSES.__getitem__, fields[1::3]))
+    del fields
+    # Entries hold only strings and form no reference cycles, so reference
+    # counting frees them and a collection pass over the new objects would
+    # find nothing; at 10^5 entries those passes cost ~60-80 ms.
+    # Not thread-safe with respect to another thread toggling the
+    # collector meanwhile: that change can be undone here.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Registry(_unchecked_entries(ids, statuses, keys))
+    except RegistryError:
+        pass  # a repeated id; the per-line pass names its line
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return _load_line_by_line(_decode(data))
 
 
 def _load_line_by_line(text: str) -> Registry:

@@ -43,6 +43,12 @@ _DEFAULT_TIMESTAMP = 1_700_000_000
 # The audio-sync scorer correlates F - 1 transitions over at least 3 points.
 MIN_FRAME_COUNT = 4
 
+# The pan moves the frames 1 or 2 pixels a step. The flow search reads a
+# shift circularly within [-w//2, w//2], so it tells a shift s from s - w
+# only where 2 * s < w: a genuine scene narrower than this shows no pan.
+_MAX_PAN_SHIFT = 2
+MIN_GENUINE_WIDTH = 2 * _MAX_PAN_SHIFT + 1
+
 
 def _number_within(value: object, lo: float, hi: float) -> bool:
     """True for an int or float in (lo, hi]: a bool or a str is no number, and
@@ -256,7 +262,7 @@ def _pan_shifts(phase: int, frame_count: int) -> np.ndarray:
     the motion scorer needs for a defined correlation.
     """
     k = np.arange(frame_count - 1)
-    return 1 + ((k + phase) // 2) % 2
+    return 1 + ((k + phase) // 2) % _MAX_PAN_SHIFT
 
 
 def _imu_for_shifts(shifts: np.ndarray, pixels_per_radian: float) -> np.ndarray:
@@ -357,6 +363,8 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     gradient, audio envelope locked to motion, IMU matching the camera pan."""
     if params.depth_base_m <= 1.05:
         raise CaptureError("genuine scene needs depth_base_m > 1.05 for a distinct near layer")
+    if params.width < MIN_GENUINE_WIDTH:
+        raise CaptureError(f"genuine scene needs width >= {MIN_GENUINE_WIDTH} for its pan to show")
     s = Stream(seed)
     tex_seed = s.derive_seed()
     depth_seed = s.derive_seed()

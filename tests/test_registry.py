@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 
@@ -147,9 +148,48 @@ def test_load_refuses_what_is_not_bytes(data):
         load_registry(data)
 
 
+def _strided(data: bytes) -> memoryview:
+    """A non-contiguous memoryview whose bytes are data."""
+    return memoryview(bytes(b for byte in data for b in (byte, 0)))[::2]
+
+
 def test_load_accepts_every_bytes_like_form():
-    for kind in (bytearray, memoryview):
+    for kind in (bytearray, memoryview, _strided):
         assert save_registry(load_registry(kind(CANONICAL))) == CANONICAL
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview, _strided],
+                         ids=["bytearray", "memoryview", "strided-memoryview"])
+def test_duplicate_in_every_bytes_like_form_names_its_line(kind):
+    # a repeated id makes the loader decode the input a second time
+    noisy = b"# fleet keys\n\n" + CANONICAL + f"CAM-002 trusted {KEY_A}".encode()
+    with pytest.raises(RegistryError, match=r"^line 5: duplicate device id 'CAM-002'$"):
+        load_registry(kind(noisy))
+
+
+def test_entries_are_built_after_the_text_and_its_split_are_freed(monkeypatch):
+    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}\n"
+                   for i in range(20_000)).encode()
+    build = realseal.registry._unchecked_entries
+    held = []
+
+    def measured(*fields):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build(*fields)
+
+    monkeypatch.setattr(realseal.registry, "_unchecked_entries", measured)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = load_registry(data)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reg.entries) == 20_000
+    # what is live when the entries start is at most what the registry keeps:
+    # its id and key strings, not the decoded text, the split list or one
+    # status string per line
+    assert held[0] - base <= kept
 
 
 @pytest.mark.parametrize("data, error", [

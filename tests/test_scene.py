@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from realseal import (
 from realseal.rng import fill_unit
 from realseal.scenarios import SCENARIO_NAMES
 from realseal.scene import (
+    MIN_GENUINE_WIDTH,
     PIXELS_PER_RADIAN,
     SCENARIOS,
     _audio_from_envelope,
@@ -103,12 +106,18 @@ def test_genuine_audio_envelope_tracks_motion():
 @pytest.mark.parametrize("params", [
     ScenarioParams(width=2),
     ScenarioParams(width=3),  # a shift of 2 wraps to -1
+    ScenarioParams(width=MIN_GENUINE_WIDTH),
     ScenarioParams(),
     ScenarioParams(width=128, height=128, frame_count=32),
-], ids=["w2", "w3", "desk", "large"])
+], ids=["w2", "w3", "w5", "desk", "large"])
 def test_genuine_audio_is_built_from_the_motion_energy_of_every_frame(params):
     # the generator takes the energies from one pan per shift size; built
     # from the whole stack instead, the audio is the same to the bit
+    if params.width < MIN_GENUINE_WIDTH:
+        # too narrow for the flow search to see the pan: refused, no audio
+        with pytest.raises(CaptureError, match=f"width >= {MIN_GENUINE_WIDTH}"):
+            generate_genuine_scene(42, params)
+        return
     cap = generate_genuine_scene(42, params)
     m = motion_energy(cap.frames)
     env = np.concatenate([[m[0]], m])
@@ -204,6 +213,33 @@ def test_small_params_still_valid():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
         ScenarioParams(**kwargs)
+
+
+def _separation_grid() -> list[tuple[ScenarioParams, int]]:
+    """Accepted params over widths 2-33, heights 2-16 and 4-16 frames, twice
+    each, with a seeded frame rate, sample rate and scene seed."""
+    rng = random.Random("separation-grid")
+    grid = []
+    for width, height, frames, _ in itertools.product(
+            (2, 3, 4, 5, 6, 8, 16, 33), (2, 3, 5, 16), (4, 5, 6, 9, 16), range(2)):
+        frame_rate = rng.choice((1, 8, 30))
+        sample_rate = rng.choice((frame_rate, 2 * frame_rate, 8000))
+        grid.append((ScenarioParams(width=width, height=height, frame_count=frames,
+                                    frame_rate=frame_rate, sample_rate=sample_rate),
+                     rng.getrandbits(64)))
+    return grid
+
+
+def test_every_accepted_params_separates_or_is_refused():
+    # genuine scores >= 0.8 and each attack <= 0.3, or its generator refuses
+    for params, seed in _separation_grid():
+        for name, gen in SCENARIOS.items():
+            try:
+                capture = gen(seed, params)
+            except CaptureError:
+                continue
+            _, overall = score_capture(capture)
+            assert overall >= 0.8 if name == "genuine" else overall <= 0.3, (name, params)
 
 
 @pytest.mark.parametrize("gen", GENERATORS)
