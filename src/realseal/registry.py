@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import RegistryError
-from .manifest import (BYTES_LIKE, _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE,
-                       _require_bytes)
+from .manifest import _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE, _require_bytes
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
@@ -130,22 +129,12 @@ def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
     return Registry(registry.entries + (entry,))
 
 
-def _decode(data: object) -> str:
-    """data as text, decoded in place: bytes(data) would copy a bytearray or
-    a contiguous memoryview first."""
-    if not isinstance(data, BYTES_LIKE):
-        _require_bytes(data, RegistryError, "registry")  # raises, naming the type
-    if isinstance(data, memoryview) and not data.c_contiguous:
-        data = bytes(data)  # no single run of bytes to decode
-    try:
-        return str(data, "utf-8")
-    except UnicodeDecodeError:
-        raise RegistryError("registry file is not valid UTF-8") from None
-
-
 def load_registry(data: bytes) -> Registry:
     """Parse registry file bytes; errors carry 1-based line numbers."""
-    text = _decode(data)
+    try:
+        text = _require_bytes(data, RegistryError, "registry").decode("utf-8")
+    except UnicodeDecodeError:
+        raise RegistryError("registry file is not valid UTF-8") from None
     if not _FILE_GRAMMAR.fullmatch(text):
         return _load_line_by_line(text)
     fields = (_COMMENT.sub("", text) if "#" in text else text).split()
@@ -169,7 +158,7 @@ def load_registry(data: bytes) -> Registry:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return _load_line_by_line(_decode(data))
+    return _load_line_by_line(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
 
 
 def _load_line_by_line(text: str) -> Registry:
