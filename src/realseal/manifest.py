@@ -3,7 +3,9 @@
 The canonical form is the exact byte string that gets hashed and signed, so
 it must be reproducible everywhere: UTF-8 JSON with keys sorted ascending by
 byte value, no whitespace, integers only (scores in milli-units, coordinates
-in micro-degrees), and string escapes limited to \\" and \\\\. The parser is
+in micro-degrees). Strings are written verbatim: MANIFEST.md allows only the
+escapes \\" and \\\\, and the charsets of the string members admit neither a
+double quote nor a backslash, so no escape ever occurs. The parser is
 strict: it accepts canonical bytes only. One grammar match captures every
 field, and re-encoding the record built from them must reproduce the input
 byte for byte. Full grammar: MANIFEST.md.
@@ -91,7 +93,7 @@ class RealismManifest:
     version: int = MANIFEST_VERSION
 
     def __post_init__(self) -> None:
-        if self.version != MANIFEST_VERSION:
+        if not _is_int(self.version) or self.version != MANIFEST_VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
         if not isinstance(self.device_id, str) or not DEVICE_ID_RE.match(self.device_id):
             raise ManifestError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
@@ -120,29 +122,24 @@ def quantize_score(score: float) -> int:
 # Canonical encoding
 # ---------------------------------------------------------------------------
 
-def _encode_string(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+# The whole encoding in one template, keys in byte order.
+_ENCODING = ('{"algos":{"hash":"%s","scoring":"%s","sig":"%s"},' % (
+    ALGO_HASH, ALGO_SCORING, ALGO_SIG) + (
+    '"device_id":"%s","image_sha256":"%s",%s'
+    '"scores":{"audio_sync":%d,"depth":%d,"motion":%d,"overall":%d,"thermal":%d},'
+    '"timestamp_unix":%d,"version":%d}'))
+_LOCATION = '"location":{"lat_microdeg":%d,"lon_microdeg":%d},'
 
 
 def canonical_encode(m: RealismManifest) -> bytes:
     """Unique byte serialization of a valid manifest (the signing payload)."""
     if not isinstance(m, RealismManifest):
         raise ManifestError("expected a RealismManifest")
-    parts = [
-        '"algos":{"hash":%s,"scoring":%s,"sig":%s}' % (
-            _encode_string(ALGO_HASH), _encode_string(ALGO_SCORING), _encode_string(ALGO_SIG)),
-        '"device_id":%s' % _encode_string(m.device_id),
-        '"image_sha256":%s' % _encode_string(m.image_sha256),
-    ]
-    if m.location is not None:
-        parts.append('"location":{"lat_microdeg":%d,"lon_microdeg":%d}' % m.location)
-    parts.append(
-        '"scores":{"audio_sync":%d,"depth":%d,"motion":%d,"overall":%d,"thermal":%d}' % (
-            m.scores.audio_sync, m.scores.depth, m.scores.motion,
-            m.scores.overall, m.scores.thermal))
-    parts.append('"timestamp_unix":%d' % m.timestamp_unix)
-    parts.append('"version":%d' % m.version)
-    return ("{" + ",".join(parts) + "}").encode("utf-8")
+    s = m.scores
+    return (_ENCODING % (
+        m.device_id, m.image_sha256, "" if m.location is None else _LOCATION % m.location,
+        s.audio_sync, s.depth, s.motion, s.overall, s.thermal,
+        m.timestamp_unix, m.version)).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ its digest field, so manifest integrity remains checkable without the image.
 
 Trust boundary: key generation, key-file I/O and a DeviceKeyPair are the
 only holders of the 32-byte secret seed. A pair builds its private-key
-object from the seed once, when it is made, and seal() signs with that
-object; neither the seed nor the key object appears in a pair's repr or
-takes part in its equality, and nothing here ever logs or prints them.
+object from the seed once, when it is made, refuses a public key that is not
+that object's, and seal() signs with that object; neither the seed nor the
+key object appears in a pair's repr or takes part in its equality, and
+nothing here ever logs or prints them.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ VERDICT_UNKNOWN_DEVICE = "unknown_device"
 VERDICT_MALFORMED = "malformed"
 
 
+# keygen's public_key: the pair takes it from the key object it builds, so
+# the seed is derived once per pair
+_FROM_SEED = object()
+
+
 @dataclass(frozen=True)
 class DeviceKeyPair:
     device_id: str
@@ -66,8 +72,14 @@ class DeviceKeyPair:
     def __post_init__(self) -> None:
         if len(self.secret_seed) != SEED_LEN:
             raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
-        object.__setattr__(self, "_private_key",
-                           Ed25519PrivateKey.from_private_bytes(bytes(self.secret_seed)))
+        key = Ed25519PrivateKey.from_private_bytes(bytes(self.secret_seed))
+        public = key.public_key().public_bytes_raw()
+        if self.public_key is _FROM_SEED:
+            object.__setattr__(self, "public_key", public)
+        elif self.public_key != public:
+            # its seals would verify as tampered_manifest under this key
+            raise RealSealError("public key does not match the seed")
+        object.__setattr__(self, "_private_key", key)
 
     def __repr__(self) -> str:  # never expose the seed in logs/tracebacks
         return f"DeviceKeyPair(device_id={self.device_id!r}, public_key={self.public_key.hex()})"
@@ -113,9 +125,7 @@ def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
         raise RealSealError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
-    seed = bytes(seed)
-    public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
-    return DeviceKeyPair(device_id=device_id, secret_seed=seed, public_key=public)
+    return DeviceKeyPair(device_id=device_id, secret_seed=bytes(seed), public_key=_FROM_SEED)
 
 
 def sign_data(secret_seed: bytes, data: bytes) -> bytes:
@@ -183,8 +193,8 @@ def write_sidecar(bundle: SealedBundle) -> bytes:
     )
 
 
-def read_sidecar(data: bytes) -> tuple[RealismManifest, bytes]:
-    """Parse sidecar bytes into (manifest, signature); strict, no trailing."""
+def _split_sidecar(data: bytes) -> tuple[bytes, bytes]:
+    """The (manifest bytes, signature) a sidecar holds; strict, no trailing."""
     data = _require_bytes(data, SidecarError, "sidecar")
     if len(data) < 4:
         raise SidecarError("truncated sidecar")
@@ -205,8 +215,13 @@ def read_sidecar(data: bytes) -> tuple[RealismManifest, bytes]:
         raise SidecarError("truncated sidecar: signature exceeds buffer")
     if len(data) != end_sig:
         raise SidecarError("trailing bytes after signature")
-    manifest = parse_manifest(manifest_bytes)
-    return manifest, data[end_manifest + 4:end_sig]
+    return manifest_bytes, data[end_manifest + 4:]
+
+
+def read_sidecar(data: bytes) -> tuple[RealismManifest, bytes]:
+    """Parse sidecar bytes into (manifest, signature); strict, no trailing."""
+    manifest_bytes, signature = _split_sidecar(data)
+    return parse_manifest(manifest_bytes), signature
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +243,8 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
     if not isinstance(image_bytes, BYTES_LIKE):
         return _MALFORMED_REPORT
     try:
-        manifest, signature = read_sidecar(sidecar_bytes)
+        manifest_bytes, signature = _split_sidecar(sidecar_bytes)
+        manifest = parse_manifest(manifest_bytes)
     except (SidecarError, ManifestError):
         return _MALFORMED_REPORT
 
@@ -241,8 +257,9 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
             signature_valid=False, image_hash_match=hash_match, device_trusted=False,
             manifest=manifest, verdict=VERDICT_UNKNOWN_DEVICE)
 
-    signature_valid = verify_data(
-        bytes.fromhex(entry.public_key_hex), canonical_encode(manifest), signature)
+    # parse_manifest accepts only the canonical encoding of the manifest it
+    # returns, so these bytes are the payload seal() signed
+    signature_valid = verify_data(bytes.fromhex(entry.public_key_hex), manifest_bytes, signature)
     trusted = entry.status == TRUSTED
 
     if not signature_valid:

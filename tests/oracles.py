@@ -4,8 +4,9 @@ Each is deliberately written on a different route than the library code it
 checks: the plane fit solves raw-coordinate normal equations instead of the
 centered orthogonal closed form, motion energy sums int64 |a - b| instead
 of uint16-block sums of a + b - 2 min(a, b), lag search uses np.corrcoef and sorted
-selection instead of streaming preference order, the manifest parse goes
-through a general JSON decoder instead of the canonical grammar, the registry
+selection instead of streaming preference order, the manifest parse and
+encode go through a general JSON decoder and encoder instead of the
+canonical grammar and the library's one template, the registry
 load checks each line's fields on its own instead of matching the whole file
 against one grammar, the capture file is packed value by value with struct
 instead of from array buffers, the scene's yaw rates, texture and audio
@@ -30,7 +31,6 @@ from realseal import (
     RealismManifest,
     RegistryEntry,
     RegistryError,
-    canonical_encode,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,27 @@ def split_capture_rsc(data: bytes) -> tuple[bytes, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# Manifest parse via json.loads, records and re-encoding
+# Manifest encode via json.dumps; parse via json.loads, records and re-encoding
 # ---------------------------------------------------------------------------
+
+def canonical_encode_reference(m) -> bytes:
+    """MANIFEST.md's encoding of a manifest by a general JSON encoder: its
+    ASCII keys sort by byte value, and json writes an int as %d does. m is a
+    RealismManifest or any object with its attributes."""
+    s = m.scores
+    obj = {
+        "algos": {"hash": "sha-256", "scoring": "realseal-v1", "sig": "ed25519"},
+        "device_id": m.device_id,
+        "image_sha256": m.image_sha256,
+        "scores": {"audio_sync": s.audio_sync, "depth": s.depth, "motion": s.motion,
+                   "overall": s.overall, "thermal": s.thermal},
+        "timestamp_unix": m.timestamp_unix,
+        "version": m.version,
+    }
+    if m.location is not None:
+        obj["location"] = {"lat_microdeg": m.location[0], "lon_microdeg": m.location[1]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
 
 def _unique_keys(pairs):
     obj = dict(pairs)
@@ -215,7 +234,7 @@ def parse_manifest_reference(data: bytes) -> RealismManifest | None:
         )
     except (ValueError, KeyError, TypeError, AttributeError, ManifestError):
         return None
-    return m if canonical_encode(m) == data else None
+    return m if canonical_encode_reference(m) == data else None
 
 
 # ---------------------------------------------------------------------------
