@@ -48,8 +48,21 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_location(v: object) -> bool:
-    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v))
+def _check_device_id(value: object, error: type[RealSealError]) -> None:
+    if not isinstance(value, str) or not DEVICE_ID_RE.match(value):
+        raise error("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+
+
+def _checked_location(value: object, error: type[RealSealError]) -> tuple[int, int] | None:
+    """value as a (lat, lon) tuple of micro-degrees in range; None stays None."""
+    if value is None:
+        return None
+    if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_int, value))):
+        raise error("location must be two integers")
+    lat, lon = value
+    if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
+        raise error("location out of range")
+    return lat, lon
 
 
 # The only input types the parsers take. bytes() of any other value is no
@@ -95,19 +108,12 @@ class RealismManifest:
     def __post_init__(self) -> None:
         if not _is_int(self.version) or self.version != MANIFEST_VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
-        if not isinstance(self.device_id, str) or not DEVICE_ID_RE.match(self.device_id):
-            raise ManifestError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+        _check_device_id(self.device_id, ManifestError)
         if not _is_int(self.timestamp_unix) or not 0 <= self.timestamp_unix <= _TIMESTAMP_MAX:
             raise ManifestError("timestamp_unix out of range")
         if not isinstance(self.image_sha256, str) or not _HEX64_RE.match(self.image_sha256):
             raise ManifestError("image_sha256 must be 64 lowercase hex chars")
-        if self.location is not None:
-            if not _is_location(self.location):
-                raise ManifestError("location must be two integers")
-            lat, lon = self.location
-            if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
-                raise ManifestError("location out of range")
-            object.__setattr__(self, "location", (lat, lon))
+        object.__setattr__(self, "location", _checked_location(self.location, ManifestError))
 
 
 def quantize_score(score: float) -> int:

@@ -10,9 +10,10 @@ load_registry() checks the whole file against one grammar before it builds
 any entry, so the entries of a file that matches are built without checking
 each field again, with the cyclic garbage collector paused. By then the
 decoded text and its split list are gone, and no copy of the file is held:
-the load peaks near the size of the registry it returns. Only a file that
-does not match, or that repeats an id, goes through the per-line pass, whose
-one job is to report the first error with its line number.
+the load peaks near the size of the registry it returns. For a file that
+does not match, or that repeats an id, the grammar's line-repeat part locates
+the first error: it stops at the first line it refuses, and only that line
+gets the field checks that name what is wrong with it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ REVOKED = "revoked"
 # The three alternatives start with different characters, so the match never
 # backtracks more than one line and fails in time linear in the file.
 _ENTRY = rf"{_DEVICE_ID} (?:{TRUSTED}|{REVOKED}) {_HEX64}"
-_FILE_GRAMMAR = re.compile(rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*(?:{_ENTRY}|#[^\n]*)?")
+# Left a string, so importing the module compiles no more: only the error path needs it.
+_LINES = rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*"
+_FILE_GRAMMAR = re.compile(rf"{_LINES}(?:{_ENTRY}|#[^\n]*)?")
 # An entry holds no '#', so in a file that matches the grammar each '#' starts
 # a comment that runs to the end of its line.
 _COMMENT = re.compile(r"#[^\n]*")
@@ -92,23 +95,13 @@ class Registry:
                 f"registry entries must be RegistryEntry, not {type(bad).__name__}")
         by_id = {e.device_id: e for e in entries}
         if len(by_id) < len(entries):
-            _refuse_repeats(entries)
+            seen = set()
+            for e in entries:
+                if e.device_id in seen:
+                    raise RegistryError(f"duplicate device id {e.device_id!r}")
+                seen.add(e.device_id)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "entries", entries)
-
-
-def _refuse_repeats(entries: Iterable[RegistryEntry]) -> tuple[RegistryEntry, ...]:
-    """entries as a tuple; raises at the first whose id an earlier one has.
-
-    Takes one entry at a time, so a generator over a file's lines is still
-    at the line of the repeated id when this raises.
-    """
-    by_id: dict[str, RegistryEntry] = {}
-    for e in entries:
-        if e.device_id in by_id:
-            raise RegistryError(f"duplicate device id {e.device_id!r}")
-        by_id[e.device_id] = e
-    return tuple(by_id.values())
 
 
 def lookup(registry: Registry, device_id: str) -> RegistryEntry | None:
@@ -136,7 +129,7 @@ def load_registry(data: bytes) -> Registry:
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
     if not _FILE_GRAMMAR.fullmatch(text):
-        return _load_line_by_line(text)
+        raise _first_error(text)
     fields = (_COMMENT.sub("", text) if "#" in text else text).split()
     # Free the text, then the split list and its one status string per line,
     # before the entries are built: at 10^5 lines they are ~16 MB.
@@ -154,37 +147,41 @@ def load_registry(data: bytes) -> Registry:
     try:
         return Registry(_unchecked_entries(ids, statuses, keys))
     except RegistryError:
-        pass  # a repeated id; the per-line pass names its line
+        pass  # a repeated id; _first_error names its line
     finally:
         if gc_was_enabled:
             gc.enable()
-    return _load_line_by_line(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
+    raise _first_error(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
 
 
-def _load_line_by_line(text: str) -> Registry:
-    """Parse text line by line; an error names the line it is about.
+def _first_error(text: str) -> RegistryError:
+    """The first error of a file load_registry() refuses, with its line number.
 
-    load_registry() comes here only for a file it refuses, so this pass
-    serves to report that file's first error.
+    _LINES, matched as a prefix, ends where the first line it refuses starts.
+    The lines before it are well formed, so they are only scanned for a
+    repeated id. Only the refused line gets the field checks; it may also be
+    a last line without LF that the grammar's tail accepts.
     """
-    lineno = 0
-
-    def parse():
-        # _refuse_repeats pulls one entry at a time, so lineno is the line of
-        # whichever entry an error (syntax, field or duplicate) is about.
-        nonlocal lineno
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line or line.startswith("#"):
+    end = re.match(_LINES, text).end()
+    stop = text.find("\n", end)
+    # the prefix ends in LF (or is empty), so its last item stands for the refused line
+    lines = text[:end].split("\n")
+    lines[-1] = text[end:] if stop < 0 else text[end:stop]
+    seen = set()
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if not line or line[0] == "#":
                 continue
             fields = line.split(" ")
-            if len(fields) != 3:
-                raise RegistryError("expected 'device_id status pubkey_hex'")
-            yield RegistryEntry(*fields)
-
-    try:
-        return Registry(_refuse_repeats(parse()))
+            if lineno == len(lines):
+                if len(fields) != 3:
+                    raise RegistryError("expected 'device_id status pubkey_hex'")
+                RegistryEntry(*fields)
+            if fields[0] in seen:
+                raise RegistryError(f"duplicate device id {fields[0]!r}")
+            seen.add(fields[0])
     except RegistryError as exc:
-        raise RegistryError(f"line {lineno}: {exc}") from None
+        return RegistryError(f"line {lineno}: {exc}")
 
 
 def save_registry(registry: Registry) -> bytes:

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CaptureError
-from .manifest import DEVICE_ID_RE, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int, _is_location
+from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _checked_location,
+                       _is_int)
 from .rng import Stream, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
 from .scoring import _flow_is_exact, motion_energy, window_bounds
@@ -162,17 +163,10 @@ class SceneCapture:
         # audio must cover the frame span: samples/rate >= frames/frame_rate
         if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
             raise CaptureError("audio shorter than the frame span")
-        if not isinstance(self.device_id, str) or not DEVICE_ID_RE.match(self.device_id):
-            raise CaptureError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+        _check_device_id(self.device_id, CaptureError)
         if not _is_int(self.timestamp_unix) or self.timestamp_unix < 0:
             raise CaptureError("timestamp_unix must be a non-negative integer")
-        if self.location is not None:
-            if not _is_location(self.location):
-                raise CaptureError("location must be two integers")
-            lat, lon = self.location
-            if abs(lat) > LAT_MICRODEG_MAX or abs(lon) > LON_MICRODEG_MAX:
-                raise CaptureError("location out of range")
-            object.__setattr__(self, "location", (lat, lon))
+        object.__setattr__(self, "location", _checked_location(self.location, CaptureError))
         if not _number_within(self.pixels_per_radian, 0.0, MAX_PIXELS_PER_RADIAN):
             raise CaptureError("pixels_per_radian must be a number within (0, 1e6]")
         object.__setattr__(self, "pixels_per_radian", float(self.pixels_per_radian))

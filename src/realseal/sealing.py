@@ -6,11 +6,11 @@ bytes. The signature covers the manifest only; the image is bound through
 its digest field, so manifest integrity remains checkable without the image.
 
 Trust boundary: key generation, key-file I/O and a DeviceKeyPair are the
-only holders of the 32-byte secret seed. A pair builds its private-key
-object from the seed once, when it is made, refuses a public key that is not
-that object's, and seal() signs with that object; neither the seed nor the
-key object appears in a pair's repr or takes part in its equality, and
-nothing here ever logs or prints them.
+only holders of the 32-byte secret seed. A pair checks its device id and
+seed and builds its private-key object from the seed once, when it is made,
+refuses a public key that is not that object's, and seal() signs with that
+object; neither the seed nor the key object appears in a pair's repr or
+takes part in its equality, and nothing here ever logs or prints them.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import ManifestError, RealSealError, RegistryError, SidecarError
 from .manifest import (
     BYTES_LIKE,
-    DEVICE_ID_RE,
     ManifestScores,
     RealismManifest,
+    _check_device_id,
     _require_bytes,
     canonical_encode,
     parse_manifest,
@@ -70,9 +70,9 @@ class DeviceKeyPair:
     _private_key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.secret_seed) != SEED_LEN:
-            raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
-        key = Ed25519PrivateKey.from_private_bytes(bytes(self.secret_seed))
+        _check_device_id(self.device_id, RealSealError)
+        key = _key_of_seed(self.secret_seed)
+        object.__setattr__(self, "secret_seed", bytes(self.secret_seed))
         public = key.public_key().public_bytes_raw()
         if self.public_key is _FROM_SEED:
             object.__setattr__(self, "public_key", public)
@@ -119,20 +119,21 @@ def image_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
-    """Deterministic Ed25519 keypair from a 32-octet seed."""
-    if not isinstance(device_id, str) or not DEVICE_ID_RE.match(device_id):
-        raise RealSealError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+def _key_of_seed(seed: object) -> Ed25519PrivateKey:
+    """The private key of a 32-octet bytes or bytearray seed."""
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
-    return DeviceKeyPair(device_id=device_id, secret_seed=bytes(seed), public_key=_FROM_SEED)
+    return Ed25519PrivateKey.from_private_bytes(bytes(seed))
+
+
+def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
+    """Deterministic Ed25519 keypair from a 32-octet seed."""
+    return DeviceKeyPair(device_id=device_id, secret_seed=seed, public_key=_FROM_SEED)
 
 
 def sign_data(secret_seed: bytes, data: bytes) -> bytes:
     """Detached Ed25519 signature (64 octets, deterministic)."""
-    if len(secret_seed) != SEED_LEN:
-        raise RealSealError(f"seed must be exactly {SEED_LEN} octets")
-    return Ed25519PrivateKey.from_private_bytes(bytes(secret_seed)).sign(data)
+    return _key_of_seed(secret_seed).sign(data)
 
 
 def verify_data(public_key: bytes, data: bytes, signature: bytes) -> bool:

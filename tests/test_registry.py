@@ -284,6 +284,13 @@ _REGISTRY_CASES = [
     f"CAM-001 trusted {KEY_A.upper()}\n",
     f"{'C' * 64} trusted {KEY_A}\n", f"{'C' * 65} trusted {KEY_A}\n", f"CAM-001 Trusted {KEY_A}\n",
     f"CAM-001 trusted {KEY_A}\r\n", f"CAM-001 trusted {KEY_A}\n #x\n",
+    # a repeat before a bad line, and a bad line before a repeat
+    f"CAM-001 trusted {KEY_A}\nCAM-001 trusted {KEY_B}\nCAM-002 lost {KEY_A}\n",
+    f"CAM-001 trusted {KEY_A}\nCAM-002 lost {KEY_A}\nCAM-001 trusted {KEY_B}\n",
+    f"CAM-001 trusted {KEY_A}\n# note\nCAM-001 revoked {KEY_B}",
+    f"CAM-001 trusted {KEY_A}\nCAM-002 trusted {KEY_A[1:]}",
+    f"CAM-001 trusted {KEY_A}\n\r\nCAM-002 trusted {KEY_B}\n",
+    f"CAM-001 trusted {KEY_A}\n   \n",
 ] + [case for c in _SPLIT_SPACES for case in (
     f"# a{c}b\nCAM-001 trusted {KEY_A}\n# {c}\n",
     f"CAM-001{c}trusted {KEY_A}\n",
@@ -357,14 +364,14 @@ def _load_or_error(load, data: bytes):
 
 def test_load_agrees_with_per_line_reference(monkeypatch):
     line_passes = 0
-    line_by_line = realseal.registry._load_line_by_line
+    first_error = realseal.registry._first_error
 
     def counted(text):
         nonlocal line_passes
         line_passes += 1
-        return line_by_line(text)
+        return first_error(text)
 
-    monkeypatch.setattr(realseal.registry, "_load_line_by_line", counted)
+    monkeypatch.setattr(realseal.registry, "_first_error", counted)
     accepted = refused = 0
     cases = _REGISTRY_CASES + [_random_registry(seed) for seed in range(2500)]
     for case in cases:
@@ -373,7 +380,7 @@ def test_load_agrees_with_per_line_reference(monkeypatch):
         passes = line_passes
         got = _load_or_error(load_registry, data)
         assert (got if isinstance(got, str) else got.entries) == want, data
-        # only a file that is refused takes the per-line pass
+        # only a file that is refused takes the error path
         assert line_passes - passes == isinstance(want, str), data
         accepted += not isinstance(want, str)
         refused += isinstance(want, str)
