@@ -6,14 +6,24 @@ ignored on load. Device ids are unique: a Registry indexes its entries by id
 once, at construction, and refuses a repeated id. save() emits the canonical
 form (entries only), so load/save round-trips canonical files byte-identically.
 
-load_registry() checks the whole file against one grammar before it builds
-any entry, so the entries of a file that matches are built without checking
-each field again, with the cyclic garbage collector paused. By then the
-decoded text and its split list are gone, and no copy of the file is held:
-the load peaks near the size of the registry it returns. For a file that
-does not match, or that repeats an id, the grammar's line-repeat part locates
-the first error: it stops at the first line it refuses, and only that line
-gets the field checks that name what is wrong with it.
+load_registry() checks the whole file at C speed before it builds any
+entry. A file with no '#' is checked as it is; any other, or one that fails,
+is checked again with its comment and blank lines dropped (split on LF only,
+so no U+2028 or U+0085 ends a comment). Once bytes.translate has deleted the
+id charset, what is checked must read two spaces per line, LF-separated, with
+a final LF only where the file has one; any other byte, non-ASCII ones too,
+is kept and refuses the file. The two spaces fix three slots on each line, so
+when str.split() gives three fields per line, no slot is empty. Then each
+column is checked: ids are at most 64 characters, keys are 64 lowercase hex
+(over chunks of joined keys) and each status is trusted or revoked. This
+accepts exactly the files whose every line is an entry, a comment or blank.
+The entries are then built without checking each field again, with the
+cyclic garbage collector paused. By then the decoded text and its split list
+are gone, and no copy of the file is held: the load peaks near the size of
+the registry it returns. A file that does not check, or that repeats an id,
+is decoded again and the line grammar locates its first error: the grammar
+stops at the first line it refuses, and only that line gets the field checks
+that name what is wrong with it.
 """
 
 from __future__ import annotations
@@ -35,12 +45,14 @@ REVOKED = "revoked"
 # The three alternatives start with different characters, so the match never
 # backtracks more than one line and fails in time linear in the file.
 _ENTRY = rf"{_DEVICE_ID} (?:{TRUSTED}|{REVOKED}) {_HEX64}"
-# Left a string, so importing the module compiles no more: only the error path needs it.
+# Left a string, so importing the module compiles nothing: only the error path needs it.
 _LINES = rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*"
-_FILE_GRAMMAR = re.compile(rf"{_LINES}(?:{_ENTRY}|#[^\n]*)?")
-# An entry holds no '#', so in a file that matches the grammar each '#' starts
-# a comment that runs to the end of its line.
-_COMMENT = re.compile(r"#[^\n]*")
+# _DEVICE_ID's charset and longest id; the statuses and hex keys are drawn from it too.
+_ID_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
+_ID_MAX = 64
+_HEX_CHARS = b"0123456789abcdef"
+# Keys joined per hex check: ~256 KiB, so no temporary is the size of the file.
+_KEY_CHUNK = 4096
 # One string object per status, shared by every loaded entry.
 _STATUSES = {TRUSTED: TRUSTED, REVOKED: REVOKED}
 
@@ -67,7 +79,7 @@ class RegistryEntry:
 
 def _unchecked_entries(ids: list[str], statuses: list[str],
                        keys: list[str]) -> list[RegistryEntry]:
-    """Entries of fields the file grammar has already checked.
+    """Entries of fields load_registry() has already checked, column by column.
 
     Sets the three slots of each entry with one C-level pass per slot instead
     of running __init__ and __post_init__, which would add ~0.25-0.4 s to the
@@ -124,34 +136,73 @@ def add_entry(registry: Registry, entry: RegistryEntry) -> Registry:
 
 def load_registry(data: bytes) -> Registry:
     """Parse registry file bytes; errors carry 1-based line numbers."""
+    columns = _checked_columns(data)
+    if columns is not None:
+        # Entries hold only strings and form no reference cycles, so reference
+        # counting frees them and a collection pass over the new objects would
+        # find nothing; at 10^5 entries those passes cost ~60-80 ms.
+        # Not thread-safe with respect to another thread toggling the
+        # collector meanwhile: that change can be undone here.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return Registry(_unchecked_entries(*columns))
+        except RegistryError:
+            pass  # a repeated id; _first_error names its line
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    raise _first_error(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
+
+
+def _checked_columns(data: bytes) -> tuple[list[str], list[str], list[str]] | None:
+    """The id, status and key columns of a file of well-formed lines, else None.
+
+    Raises RegistryError only for input that is not bytes-like or not UTF-8.
+    """
+    raw = _require_bytes(data, RegistryError, "registry")
     try:
-        text = _require_bytes(data, RegistryError, "registry").decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise RegistryError("registry file is not valid UTF-8") from None
-    if not _FILE_GRAMMAR.fullmatch(text):
-        raise _first_error(text)
-    fields = (_COMMENT.sub("", text) if "#" in text else text).split()
+    # Any byte but a space, an LF or an id char (non-ASCII ones too) is kept
+    # by the translate and spoils the layout, so no isascii() pass is needed.
+    rows = -1 if "#" in text else _rows(raw.translate(None, _ID_CHARS), raw.endswith(b"\n"))
+    del raw
+    if rows < 0:  # comments or blank lines, or a file to refuse: drop them, look again
+        text = "\n".join(line for line in text.split("\n") if line and line[0] != "#")
+        rows = _rows(text.encode("utf-8").translate(None, _ID_CHARS), False)
+        if rows < 0:
+            return None
+    fields = text.split()
     # Free the text, then the split list and its one status string per line,
     # before the entries are built: at 10^5 lines they are ~16 MB.
     del text
+    if len(fields) != 3 * rows:  # an empty slot
+        return None
     ids, keys = fields[0::3], fields[2::3]
-    statuses = list(map(_STATUSES.__getitem__, fields[1::3]))
-    del fields
-    # Entries hold only strings and form no reference cycles, so reference
-    # counting frees them and a collection pass over the new objects would
-    # find nothing; at 10^5 entries those passes cost ~60-80 ms.
-    # Not thread-safe with respect to another thread toggling the
-    # collector meanwhile: that change can be undone here.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        return Registry(_unchecked_entries(ids, statuses, keys))
-    except RegistryError:
-        pass  # a repeated id; _first_error names its line
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    raise _first_error(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
+        statuses = list(map(_STATUSES.__getitem__, fields[1::3]))
+    except KeyError:
+        return None
+    del fields
+    if max(map(len, ids), default=0) > _ID_MAX or not set(map(len, keys)) <= {64}:
+        return None
+    for i in range(0, len(keys), _KEY_CHUNK):
+        if "".join(keys[i:i + _KEY_CHUNK]).encode("ascii").translate(None, _HEX_CHARS):
+            return None
+    return ids, statuses, keys
+
+
+def _rows(layout: bytes, final_lf: bool) -> int:
+    """n if layout is n lines of two spaces, with a final LF iff the file has one; else -1.
+
+    The final LF must be the file's own: a last line of id chars alone also
+    translates to nothing after an LF.
+    """
+    n = (len(layout) + 1) // 3
+    lines = b"  \n" * n
+    return n if layout == (lines if final_lf else lines[:-1]) else -1
 
 
 def _first_error(text: str) -> RegistryError:

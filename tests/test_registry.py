@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from realseal import (
     revoke,
     save_registry,
 )
+from realseal.manifest import DEVICE_ID_RE
 from realseal.rng import fill_u64
 
 from oracles import load_registry_reference
@@ -196,7 +198,7 @@ def test_entries_are_built_after_the_text_and_its_split_are_freed(monkeypatch):
     (CANONICAL, None),
     (CANONICAL + CANONICAL[:CANONICAL.index(b"\n") + 1], "line 3: duplicate"),
     (CANONICAL + b"CAM-003 lost " + KEY_A.encode(), "line 3: bad status"),
-], ids=["grammar", "duplicate-fallback", "error"])
+], ids=["accepted", "duplicate-fallback", "error"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_load_leaves_the_collector_as_it_found_it(monkeypatch, data, error, enabled):
     build = realseal.registry._unchecked_entries
@@ -218,8 +220,34 @@ def test_load_leaves_the_collector_as_it_found_it(monkeypatch, data, error, enab
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    # the entries of a file the grammar accepts are built with the collector off
+    # the entries of a file whose lines all check are built with the collector
+    # off, also when a repeated id then sends it to the error path
     assert seen == ([] if error == "line 3: bad status" else [False])
+
+
+def test_load_peaks_near_what_the_registry_keeps():
+    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}\n"
+                   for i in range(20_000)).encode()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = load_registry(data)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reg.entries) == 20_000
+    # the whole load, checks included, stays within 1.5x of what it returns:
+    # no copy of the file and no per-character work space outlives the split
+    assert peak - base <= 1.5 * (now - base)
+
+
+def test_layout_charset_is_the_device_id_charset():
+    ascii_chars = [chr(c) for c in range(128)]
+    id_chars = [c for c in ascii_chars if c.encode() in realseal.registry._ID_CHARS]
+    assert id_chars == [c for c in ascii_chars if DEVICE_ID_RE.match(c)]
+    longest = realseal.registry._ID_MAX
+    assert DEVICE_ID_RE.match("C" * longest) and not DEVICE_ID_RE.match("C" * (longest + 1))
+    assert not (set(TRUSTED + REVOKED + "0123456789abcdef") - set(id_chars))
 
 
 @pytest.mark.parametrize("fields, type_name", [
@@ -291,6 +319,16 @@ _REGISTRY_CASES = [
     f"CAM-001 trusted {KEY_A}\nCAM-002 trusted {KEY_A[1:]}",
     f"CAM-001 trusted {KEY_A}\n\r\nCAM-002 trusted {KEY_B}\n",
     f"CAM-001 trusted {KEY_A}\n   \n",
+    # the token and separator counts of a good file, with fields on the wrong lines
+    f"CAM-001\n trusted {KEY_A}\n", f"CAM-001 trusted\n{KEY_A}\n",
+    f"CAM-001 trusted {KEY_A}\nCAM-002\ntrusted  {KEY_B}\n",
+    # a last line of id chars alone after an LF, which is not the final LF
+    f" CAM-001 trusted\n{KEY_A}", f"# c\n CAM-001 trusted\n{KEY_A}\n",
+    f"CAM-001 trusted {KEY_A}#x\n", f"CAM-001 trusted {KEY_A}#x", f"CAM-001 #trusted {KEY_A}\n",
+    "#a#b\n", "#a#b",
+    # line breaks to splitlines() but not to the format: the entry stays in its comment
+    f"# a\u2028CAM-001 trusted {KEY_A}\n", f"#\x85CAM-001 trusted {KEY_A}\nCAM-002 trusted {KEY_B}",
+    f"CAM-001 trusted {KEY_A}\n# end", f"CAM-001 trusted {KEY_A}\n\n# end",
 ] + [case for c in _SPLIT_SPACES for case in (
     f"# a{c}b\nCAM-001 trusted {KEY_A}\n# {c}\n",
     f"CAM-001{c}trusted {KEY_A}\n",
@@ -385,3 +423,79 @@ def test_load_agrees_with_per_line_reference(monkeypatch):
         accepted += not isinstance(want, str)
         refused += isinstance(want, str)
     assert accepted > 800 and refused > 800
+
+
+def _moved_separators(seed: int) -> str:
+    """A small registry file of good lines (entries, comments, blank lines)
+    with 0-3 mutations that mostly move separators rather than fields:
+    swapping an adjacent space and LF, moving a field onto its own line,
+    joining two lines, doubling or dropping an LF, or putting a '#' in a
+    space's place. Some files repeat an id or lack their final LF."""
+    draws = iter(fill_u64(seed, 64).tolist())
+
+    def below(n: int) -> int:
+        return next(draws) % n
+
+    lines = []
+    for k in range(1 + below(5)):
+        kind = below(6)
+        if kind == 4:
+            lines.append("#" + "ab \u2028\x85#"[below(6)] * below(3))
+        elif kind == 5:
+            lines.append("")
+        else:
+            device = f"CAM-{below(3) if below(3) == 0 else 10 + k}"
+            lines.append(f"{device} {(TRUSTED, REVOKED)[below(2)]} {(KEY_A, KEY_B)[below(2)]}")
+    text = "\n".join(lines) + ("" if below(5) == 0 else "\n")
+    for _ in range(below(4)):
+        kind = below(6)
+        spots = [i for i in range(len(text) - 1) if text[i:i + 2] in (" \n", "\n ")]
+        if kind == 0 and spots:  # swap an adjacent space and LF
+            i = spots[below(len(spots))]
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+            continue
+        spaces = [i for i, c in enumerate(text) if c == " "]
+        breaks = [i for i, c in enumerate(text) if c == "\n"]
+        if kind == 1 and spaces:  # a field onto its own line; a line joined elsewhere
+            i = spaces[below(len(spaces))]
+            text = text[:i] + "\n" + text[i + 1:]
+            if breaks:
+                j = breaks[below(len(breaks))]
+                text = text[:j] + " " + text[j + 1:]
+        elif kind == 2 and breaks:  # two lines joined
+            j = breaks[below(len(breaks))]
+            text = text[:j] + " " + text[j + 1:]
+        elif kind == 3 and breaks:  # an LF doubled or dropped
+            j = breaks[below(len(breaks))]
+            text = text[:j] + "\n" * 2 * below(2) + text[j + 1:]
+        elif kind == 4 and spaces:  # a '#' in a space's place
+            i = spaces[below(len(spaces))]
+            text = text[:i] + "#" + text[i + 1:]
+        elif spaces:  # a line broken at a space, which is kept or dropped
+            i = spaces[below(len(spaces))]
+            text = text[:i] + " " * below(2) + "\n" + text[i + 1:]
+    return text
+
+
+def test_load_agrees_with_reference_and_grammar_when_separators_move():
+    registry = realseal.registry
+    grammar = re.compile(rf"{registry._LINES}(?:{registry._ENTRY}|#[^\n]*)?")
+    accepted = refused = repeats = 0
+    for seed in range(3000):
+        data = _moved_separators(seed).encode()
+        want = _load_or_error(load_registry_reference, data)
+        try:
+            got = load_registry(data).entries
+        except RegistryError as exc:  # anything else, TypeError from `raise None` too, fails
+            got = str(exc)
+        assert got == want, data
+        matched = grammar.fullmatch(data.decode()) is not None
+        if isinstance(want, str):
+            # a file the grammar matches is refused only for a repeated id
+            assert not matched or " duplicate device id " in want, data
+            refused += 1
+            repeats += matched
+        else:
+            assert matched, data
+            accepted += 1
+    assert accepted > 900 and refused > 1600 and repeats > 30
