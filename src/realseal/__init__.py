@@ -54,7 +54,7 @@ __version__ = "1.0.0"
 # Submodule -> the names it exports here, loaded on first use.
 _LAZY = {
     "capture_io": ("encode_frame_pgm", "read_capture_dir", "write_capture_dir"),
-    "rng": ("Rng64", "rng_next"),
+    "rng": (),
     "scene": (
         "SceneCapture",
         "ScenarioParams",

@@ -45,8 +45,9 @@ def _uint64(text: str) -> int:
     return value
 
 
-def _seed_range(text: str) -> list[int]:
-    """'N' or 'A..B' (inclusive); empty ranges are a usage error."""
+def _seed_range(text: str) -> range:
+    """'N' or 'A..B' (inclusive); empty ranges are a usage error. A range, not
+    a list, so that no seed list is built before the first row is scored."""
     lo, sep, hi = text.partition("..")
     try:
         first = int(lo)
@@ -55,7 +56,7 @@ def _seed_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed range: {text!r}")
     if first < 0 or last < first or last >= 2**64:
         raise argparse.ArgumentTypeError(f"empty or out-of-range seed range: {text!r}")
-    return list(range(first, last + 1))
+    return range(first, last + 1)
 
 
 def _read_input_file(path: str, what: str) -> bytes:
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("bench", help="score all scenarios over a seed range")
-    p.add_argument("--seed", type=_seed_range, default=list(range(1, 21)),
+    p.add_argument("--seed", type=_seed_range, default=range(1, 21),
                    help="single seed N or inclusive range A..B (default 1..20)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)

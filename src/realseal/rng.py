@@ -1,13 +1,12 @@
 """SplitMix64 pseudo-random stream.
 
 Single PRNG for all synthetic data: trivially portable (three published
-constants, 64-bit wrapping arithmetic) and fast enough in vectorized form
-because output k is a pure function of ``seed + k * GOLDEN``.
+constants, 64-bit wrapping arithmetic) and vectorized, because output k
+(counting from 0) is a pure function of ``seed + (k + 1) * GOLDEN``. A
+generator takes its k-th scalar draw as element k of one fill.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,32 +16,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-@dataclass(frozen=True)
-class Rng64:
-    """Immutable SplitMix64 state (a single 64-bit unsigned integer)."""
-
-    state: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.state <= _MASK64:
-            raise ValueError("Rng64 state must be a 64-bit unsigned integer")
-
-
-def rng_next(r: Rng64) -> tuple[Rng64, int]:
-    """Advance the stream one step; returns (new state, 64-bit output)."""
-    state = (r.state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    z = z ^ (z >> 31)
-    return Rng64(state), z
-
-
 def fill_u64(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the stream seeded with ``seed``, vectorized.
+    """First ``count`` outputs of the stream seeded with ``seed`` mod 2**64.
 
-    Identical to ``count`` successive rng_next() calls: after k steps the
-    state is seed + k*GOLDEN mod 2**64, so the whole stream maps elementwise.
+    After k + 1 steps the state is seed + (k + 1)*GOLDEN mod 2**64, and
+    output k is mixed from that state alone, so the stream maps elementwise.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -67,22 +45,3 @@ def fill_unit(seed: int, count: int) -> np.ndarray:
     u = z.astype(np.float64)
     u *= 2.0**-53
     return u
-
-
-class Stream:
-    """Small stateful wrapper over the functional core, for generator code."""
-
-    def __init__(self, seed: int):
-        self._rng = Rng64(seed & _MASK64)
-
-    def next_u64(self) -> int:
-        self._rng, value = rng_next(self._rng)
-        return value
-
-    def next_unit(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def derive_seed(self) -> int:
-        """Seed for an independent substream."""
-        return self.next_u64()

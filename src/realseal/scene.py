@@ -11,14 +11,18 @@ must separate:
                    thermal, zero motion with live audio
 
 Depth is synthesized at frame 0 only, the frame that is sealed and scored.
+The physical scene is fixed: a 20 C room, a 37 C body and display, and a
+2 m base depth. ScenarioParams sets only the sizes and rates.
 
 All sensor data is synthesized from a single SplitMix64 seed, so every
-generator is byte-reproducible: same seed, same capture.
+generator is byte-reproducible: same seed, same capture. A generator's
+scalar draws (substream seeds, pan phase, body rectangle, plane tilt and
+location) are outputs 0..n-1 of its seed's stream, and its noise fields
+come from the substreams.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CaptureError
 from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _checked_location,
                        _is_int)
-from .rng import Stream, fill_unit
+from .rng import fill_u64, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
 from .scoring import _flow_is_exact, motion_energy, window_bounds
 
@@ -49,6 +53,12 @@ MIN_FRAME_COUNT = 4
 # only where 2 * s < w: a genuine scene narrower than this shows no pan.
 _MAX_PAN_SHIFT = 2
 MIN_GENUINE_WIDTH = 2 * _MAX_PAN_SHIFT + 1
+
+# The physical scene; the base depth is the screen's, the printout's or the far layer's.
+_AMBIENT_TEMP_C = 20.0
+_BODY_TEMP_C = 37.0
+_SCREEN_TEMP_C = 37.0
+_DEPTH_BASE_M = 2.0
 
 
 def _number_within(value: object, lo: float, hi: float) -> bool:
@@ -203,17 +213,13 @@ class SceneCapture:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Knobs for the scenario generators; defaults keep everything desk-scale."""
+    """Sizes and rates for the scenario generators; the defaults are desk-scale."""
 
     width: int = 32
     height: int = 32
     frame_count: int = 16
     frame_rate: int = 8
     sample_rate: int = 8000
-    ambient_temp_c: float = 20.0
-    body_temp_c: float = 37.0
-    screen_temp_c: float = 37.0
-    depth_base_m: float = 2.0
 
     def __post_init__(self) -> None:
         ints = (self.width, self.height, self.frame_count, self.frame_rate, self.sample_rate)
@@ -225,9 +231,6 @@ class ScenarioParams:
         if self.frame_count < MIN_FRAME_COUNT:
             raise CaptureError(f"frame_count must be at least {MIN_FRAME_COUNT}")
         _check_frame_span(self.frame_count, self.sample_rate)
-        floats = (self.ambient_temp_c, self.body_temp_c, self.screen_temp_c, self.depth_base_m)
-        if not all(_number_within(v, 0.0, sys.float_info.max) for v in floats):
-            raise CaptureError("temperatures and base depth must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def _noise(seed: int, width: int, height: int, half_range: float) -> np.ndarray:
     return noise
 
 
-def _body_rect(u: tuple[float, float, float, float], width: int, height: int) -> tuple[slice, slice]:
+def _body_rect(u: list[float], width: int, height: int) -> tuple[slice, slice]:
     """Near-centered rectangle covering roughly 12-30% of the grid."""
     frac_w = 0.35 + 0.20 * u[0]
     frac_h = 0.35 + 0.20 * u[1]
@@ -308,13 +311,14 @@ def _body_rect(u: tuple[float, float, float, float], width: int, height: int) ->
     return slice(y0, y0 + bh), slice(x0, x0 + bw)
 
 
-def _tilted_plane(stream: Stream, params: ScenarioParams) -> np.ndarray:
-    """Gently tilted plane at the base distance (a flat screen or printout)."""
-    a = (stream.next_unit() - 0.5) * 0.004
-    b = (stream.next_unit() - 0.5) * 0.004
+def _tilted_plane(ua: float, ub: float, params: ScenarioParams) -> np.ndarray:
+    """Gently tilted plane at the base distance (a flat screen or printout),
+    its two slopes drawn from the unit draws ua and ub."""
+    a = (ua - 0.5) * 0.004
+    b = (ub - 0.5) * 0.004
     xs = np.arange(params.width, dtype=np.float64) - (params.width - 1) / 2.0
     ys = np.arange(params.height, dtype=np.float64) - (params.height - 1) / 2.0
-    plane = params.depth_base_m + a * xs[np.newaxis, :] + b * ys[:, np.newaxis]
+    plane = _DEPTH_BASE_M + a * xs[np.newaxis, :] + b * ys[:, np.newaxis]
     return plane.astype(np.float32)
 
 
@@ -325,9 +329,9 @@ def _uniform_thermal(seed: int, level_c: float, params: ScenarioParams) -> np.nd
     return temps.astype(np.float32)
 
 
-def _location(stream: Stream) -> tuple[int, int]:
-    lat = int(stream.next_unit() * (2 * LAT_MICRODEG_MAX + 1)) - LAT_MICRODEG_MAX
-    lon = int(stream.next_unit() * (2 * LON_MICRODEG_MAX + 1)) - LON_MICRODEG_MAX
+def _location(ua: float, ub: float) -> tuple[int, int]:
+    lat = int(ua * (2 * LAT_MICRODEG_MAX + 1)) - LAT_MICRODEG_MAX
+    lon = int(ub * (2 * LON_MICRODEG_MAX + 1)) - LON_MICRODEG_MAX
     return lat, lon
 
 
@@ -355,33 +359,29 @@ def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams
 def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams()) -> SceneCapture:
     """Physically coherent scene: layered depth, warm body over a thermal
     gradient, audio envelope locked to motion, IMU matching the camera pan."""
-    if params.depth_base_m <= 1.05:
-        raise CaptureError("genuine scene needs depth_base_m > 1.05 for a distinct near layer")
     if params.width < MIN_GENUINE_WIDTH:
         raise CaptureError(f"genuine scene needs width >= {MIN_GENUINE_WIDTH} for its pan to show")
-    s = Stream(seed)
-    tex_seed = s.derive_seed()
-    depth_seed = s.derive_seed()
-    thermal_seed = s.derive_seed()
-    rect_u = (s.next_unit(), s.next_unit(), s.next_unit(), s.next_unit())
-    phase = s.next_u64() & 3
+    # draws: 0-2 substream seeds, 3-6 body rectangle, 7 pan phase, 8-9 location
+    draws = fill_u64(seed, 8).tolist()
+    units = fill_unit(seed, 10).tolist()
+    tex_seed, depth_seed, thermal_seed = draws[:3]
 
-    base, frames, shifts = _moving_frames(tex_seed, phase, params)
+    base, frames, shifts = _moving_frames(tex_seed, draws[7] & 3, params)
 
-    rect = _body_rect(rect_u, params.width, params.height)
+    rect = _body_rect(units[3:7], params.width, params.height)
 
     # Two depth layers exactly 1 m apart (plus +-5 cm surface noise), seen
     # unshifted at frame 0, the sealed frame.
     base_depth = _noise(depth_seed, params.width, params.height, 0.05)
-    base_depth += params.depth_base_m
+    base_depth += _DEPTH_BASE_M
     base_depth[rect] -= 1.0
     depth_maps = base_depth.astype(np.float32)[np.newaxis]
 
     xs = np.arange(params.width, dtype=np.float64)
     gradient = 2.0 * (xs / max(params.width - 1, 1) - 0.5)
     temps = _noise(thermal_seed, params.width, params.height, 0.1)
-    temps += params.ambient_temp_c + gradient
-    temps[rect] = params.body_temp_c + _noise(
+    temps += _AMBIENT_TEMP_C + gradient
+    temps[rect] = _BODY_TEMP_C + _noise(
         thermal_seed ^ 0xA5A5A5A5, params.width, params.height, 0.2)[rect]
 
     # Sound follows the visuals: window k+1 carries the energy of the
@@ -402,7 +402,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
         frame_rate=params.frame_rate,
         device_id=f"SIM-GEN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(s),
+        location=_location(*units[8:10]),
     )
 
 
@@ -413,15 +413,14 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     temperature, and the soundtrack has nothing to do with on-screen motion.
     The camera itself really moves, so IMU and optical flow stay consistent.
     """
-    s = Stream(seed)
-    tex_seed = s.derive_seed()
-    thermal_seed = s.derive_seed()
-    audio_seed = s.derive_seed()
-    phase = s.next_u64() & 3
+    # draws: 0-2 substream seeds, 3 pan phase, 4-5 plane tilt, 6-7 location
+    draws = fill_u64(seed, 4).tolist()
+    units = fill_unit(seed, 8).tolist()
+    tex_seed, thermal_seed, audio_seed = draws[:3]
 
-    _, frames, shifts = _moving_frames(tex_seed, phase, params)
-    depth_maps = _tilted_plane(s, params)[np.newaxis]
-    thermal = _uniform_thermal(thermal_seed, params.screen_temp_c, params)
+    _, frames, shifts = _moving_frames(tex_seed, draws[3] & 3, params)
+    depth_maps = _tilted_plane(*units[4:6], params)[np.newaxis]
+    thermal = _uniform_thermal(thermal_seed, _SCREEN_TEMP_C, params)
 
     # Independent substream: envelope uncorrelated with motion energy.
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
@@ -437,7 +436,7 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
         frame_rate=params.frame_rate,
         device_id=f"SIM-SCR-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(s),
+        location=_location(*units[6:8]),
     )
 
 
@@ -448,15 +447,15 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
     sits at ambient temperature, the room tone keeps playing, and the IMU
     reads exactly zero.
     """
-    s = Stream(seed)
-    tex_seed = s.derive_seed()
-    thermal_seed = s.derive_seed()
-    audio_seed = s.derive_seed()
+    # draws: 0-2 substream seeds, 3-4 plane tilt, 5-6 location
+    draws = fill_u64(seed, 3).tolist()
+    units = fill_unit(seed, 7).tolist()
+    tex_seed, thermal_seed, audio_seed = draws
 
     stack = (params.frame_count, params.height, params.width)
     frames = np.broadcast_to(_texture(tex_seed, params.width, params.height), stack)
-    depth_maps = _tilted_plane(s, params)[np.newaxis]
-    thermal = _uniform_thermal(thermal_seed, params.ambient_temp_c, params)
+    depth_maps = _tilted_plane(*units[3:5], params)[np.newaxis]
+    thermal = _uniform_thermal(thermal_seed, _AMBIENT_TEMP_C, params)
 
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
     audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
@@ -471,7 +470,7 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
         frame_rate=params.frame_rate,
         device_id=f"SIM-PRN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
         timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(s),
+        location=_location(*units[5:7]),
     )
 
 

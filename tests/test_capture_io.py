@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ from realseal import (
     generate_printed_photo_scene,
     generate_screen_replay_scene,
     read_capture_dir,
+    score_capture,
     write_capture_dir,
 )
+from realseal.rng import fill_u64
 
 from oracles import capture_rsc_body, pack_capture_rsc, split_capture_rsc
 
@@ -368,3 +371,77 @@ def test_non_finite_values_rejected(tmp_path):
 def test_missing_directory(tmp_path):
     with pytest.raises(CaptureError):
         read_capture_dir(tmp_path / "nope")
+
+
+# ---------------------------------------------------------------------------
+# seeded mutants: each one reads and scores cleanly, or is a CaptureError
+# ---------------------------------------------------------------------------
+
+_FUZZ_PARAMS = ScenarioParams(width=6, height=4, frame_count=4, frame_rate=4, sample_rate=8)
+_FUZZ_FRAME_BYTES = 4 * 4 * 6
+# float32 values that are non-finite, outside a sensor's range, or extreme
+_FUZZ_FLOATS = np.array([np.nan, np.inf, -np.inf, 3.4e38, -3.4e38, 1e-45, 0.0, -0.0,
+                         -1.5, 1.5, -41.0, 151.0], dtype="<f4")
+# JSON values of the wrong type, or out of range, for some metadata field
+_FUZZ_JSON = ("1", 1.5, True, None, [], {}, -1, 0, 2**64, 1e308, {"lat_microdeg": 1})
+
+
+def _mutant(data: bytearray, other: bytes, kind: int, a: int, b: int) -> bytes:
+    """One mutation of data, as drawn: kind picks it, a and b place and size it."""
+    pos = a % len(data)
+    if kind == 0:  # flip bits of one byte
+        data[pos] ^= b % 255 + 1
+    elif kind == 1:  # insert 1-8 bytes
+        data[pos:pos] = b.to_bytes(8, "little")[:b % 8 + 1]
+    elif kind == 2:  # delete 1-8 bytes
+        del data[pos:pos + b % 8 + 1]
+    elif kind == 3:
+        del data[pos:]
+    elif kind == 4:  # rewrite the metadata length: near the old one, or anything
+        (n,) = struct.unpack_from("<I", data, 4)
+        struct.pack_into("<I", data, 4, (n + b % 9 - 4) % 2**32 if a & 1 else b % 2**32)
+    elif kind == 5:  # splice: this capture's head onto another's tail
+        data[pos:] = other[b % len(other):]
+    elif kind == 6:  # a float into one of the four float32 arrays
+        meta, body = split_capture_rsc(bytes(data))
+        at = len(data) - len(body) + 4 * (a % ((len(body) - _FUZZ_FRAME_BYTES) // 4))
+        data[at:at + 4] = _FUZZ_FLOATS[b % len(_FUZZ_FLOATS)].tobytes()
+    else:  # a metadata value, or a location coordinate, of the wrong type
+        meta, body = split_capture_rsc(bytes(data))
+        fields = json.loads(meta)
+        keys = sorted(fields) + ["lat_microdeg", "lon_microdeg"]
+        key = keys[a % len(keys)]
+        (fields["location"] if key.endswith("microdeg") else fields)[key] = \
+            _FUZZ_JSON[b % len(_FUZZ_JSON)]
+        text = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+        return pack_capture_rsc(text, body)
+    return bytes(data)
+
+
+def test_seeded_mutants_read_and_score_or_are_refused(tmp_path):
+    gens = (generate_genuine_scene, generate_screen_replay_scene, generate_printed_photo_scene)
+    originals = [_rsc(write_capture_dir(gen(seed, _FUZZ_PARAMS), tmp_path / "src")).read_bytes()
+                 for gen in gens for seed in (1, 2)]
+    root = tmp_path / "cap"
+    root.mkdir()
+    count = 2000
+    draws = iter(fill_u64(0xF022, 5 * count).tolist())
+    read = refused = 0
+    # one open file, rewritten in place for each mutant
+    with open(_rsc(root), "wb", buffering=0) as f, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning while scoring fails the test
+        for _ in range(count):
+            data, other, kind, a, b = (next(draws) for _ in range(5))
+            mutant = _mutant(bytearray(originals[data % len(originals)]),
+                             originals[other % len(originals)], kind % 8, a, b)
+            os.pwrite(f.fileno(), mutant, 0)
+            f.truncate(len(mutant))
+            try:
+                capture = read_capture_dir(root)
+            except CaptureError:
+                refused += 1
+                continue
+            score_capture(capture)
+            read += 1
+    # both outcomes are common, so the mutants neither all break nor all miss
+    assert min(read, refused) >= count // 10, (read, refused)

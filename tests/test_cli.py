@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from realseal import parse_manifest, read_capture_dir
-from realseal.cli import main
+from realseal.cli import build_parser, main
 
 from oracles import pack_capture_rsc, split_capture_rsc
 
@@ -339,6 +339,17 @@ def test_bench_empty_range_is_usage_error(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bench", "--seed", "oops")
     assert code == 2
+
+
+def test_bench_seed_range_is_parsed_without_a_seed_list():
+    # parsed only: no bench is run over these ranges
+    parse = build_parser().parse_args
+    assert parse(["bench"]).seed == range(1, 21)
+    assert parse(["bench", "--seed", "7"]).seed == range(7, 8)
+    assert parse(["bench", "--seed", f"0..{2**64 - 1}"]).seed == range(2**64)
+    with pytest.raises(SystemExit) as exc:
+        parse(["bench", "--seed", f"0..{2**64}"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ EXPORTS = {
                  "quantize_score"),
     "registry": ("REVOKED", "TRUSTED", "Registry", "RegistryEntry", "add_entry",
                  "load_registry", "lookup", "revoke", "save_registry"),
-    "rng": ("Rng64", "rng_next"),
+    "rng": (),
     "scene": ("SceneCapture", "ScenarioParams", "generate_genuine_scene",
               "generate_printed_photo_scene", "generate_scene", "generate_screen_replay_scene"),
     "scoring": ("DimensionScores", "PlaneFit", "aggregate", "audio_envelope",

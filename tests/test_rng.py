@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from realseal.rng import Rng64, Stream, fill_u64, fill_unit, rng_next
+from realseal.manifest import LAT_MICRODEG_MAX, LON_MICRODEG_MAX
+from realseal.rng import fill_u64, fill_unit
+from realseal.scene import generate_scene
 
 from oracles import splitmix64_reference
 
@@ -10,12 +12,11 @@ _SEED0_FIRST = 0xE220A8397B1DCDAF
 
 
 def _take(seed: int, count: int) -> list[int]:
-    r = Rng64(seed)
-    out = []
-    for _ in range(count):
-        r, v = rng_next(r)
-        out.append(v)
-    return out
+    return fill_u64(seed, count).tolist()
+
+
+def _unit(value: int) -> float:
+    return (value >> 11) * 2.0**-53
 
 
 def test_seed0_matches_reference_transcription():
@@ -23,7 +24,8 @@ def test_seed0_matches_reference_transcription():
     assert _take(0, 1)[0] == _SEED0_FIRST
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 42, 2**64 - 1, 0xDEADBEEF])
+# a negative seed is taken mod 2**64, as the reference masks it
+@pytest.mark.parametrize("seed", [0, 1, 2, 42, 2**64 - 1, 0xDEADBEEF, -12345])
 def test_matches_reference_for_varied_seeds(seed):
     assert _take(seed, 50) == splitmix64_reference(seed, 50)
 
@@ -37,8 +39,15 @@ def test_different_seeds_diverge():
 
 
 def test_vectorized_fill_matches_scalar_stream():
+    # the reference steps the state one output at a time
     for seed in (0, 7, 2**63 + 11):
-        assert list(map(int, fill_u64(seed, 64))) == _take(seed, 64)
+        assert list(map(int, fill_u64(seed, 64))) == splitmix64_reference(seed, 64)
+
+
+def test_fill_unit_is_the_top_53_bits_of_each_output():
+    for seed in (0, 99, 2**64 - 1):
+        expected = [_unit(v) for v in splitmix64_reference(seed, 200)]
+        assert fill_unit(seed, 200).tolist() == expected
 
 
 def test_fill_unit_range_and_determinism():
@@ -47,16 +56,18 @@ def test_fill_unit_range_and_determinism():
     assert np.array_equal(u, fill_unit(99, 1000))
 
 
-def test_stream_wrapper_consistent_with_functional_core():
-    s = Stream(5)
-    assert [s.next_u64() for _ in range(10)] == _take(5, 10)
+# The location is each generator's last scalar draw: outputs 8-9 of the seed's
+# stream for genuine, 6-7 for screen-replay and 5-6 for printed-photo.
+_LOCATION_DRAWS = {"genuine": 8, "screen-replay": 6, "printed-photo": 5}
 
 
-def test_state_must_be_u64():
-    with pytest.raises(ValueError):
-        Rng64(-1)
-    with pytest.raises(ValueError):
-        Rng64(2**64)
+def test_generators_draw_their_locations_from_the_documented_indices():
+    for scenario, first in _LOCATION_DRAWS.items():
+        for seed in range(21):
+            ua, ub = map(_unit, splitmix64_reference(seed, first + 2)[first:])
+            expected = (int(ua * (2 * LAT_MICRODEG_MAX + 1)) - LAT_MICRODEG_MAX,
+                        int(ub * (2 * LON_MICRODEG_MAX + 1)) - LON_MICRODEG_MAX)
+            assert generate_scene(scenario, seed).location == expected, (scenario, seed)
 
 
 def test_fill_count_validation():

@@ -198,14 +198,14 @@ def test_small_params_still_valid():
     dict(width=1),
     dict(frame_rate=0),
     dict(sample_rate=0),
-    dict(depth_base_m=0.0),
-    dict(ambient_temp_c=-1.0),
+    dict(height=0),
+    dict(height=1),
     dict(frame_rate=True),
-    # not numbers: the check SceneCapture makes of pixels_per_radian
-    dict(ambient_temp_c="1"),
-    dict(body_temp_c=None),
-    dict(depth_base_m=True),
-    dict(screen_temp_c=float("inf")),
+    # not integers: a str, a float, a bool or None is no size or rate
+    dict(width="8"),
+    dict(height=8.0),
+    dict(frame_count=True),
+    dict(sample_rate=None),
     # frame_count * sample_rate past int64: 16 * 2**59 == 2**63
     dict(sample_rate=2**59, frame_rate=2**59),
     dict(sample_rate=2**70, frame_rate=2**70),
@@ -213,6 +213,12 @@ def test_small_params_still_valid():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(CaptureError):
         ScenarioParams(**kwargs)
+
+
+def test_params_are_the_sizes_and_rates_a_capture_stores():
+    # the room, body and display temperatures and the base depth are fixed
+    assert [f.name for f in dataclasses.fields(ScenarioParams)] == [
+        "width", "height", "frame_count", "frame_rate", "sample_rate"]
 
 
 def _separation_grid() -> list[tuple[ScenarioParams, int]]:

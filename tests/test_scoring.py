@@ -643,3 +643,62 @@ def test_stack_past_the_flow_bound_is_refused(scorer):
     # name a shift of -1 for two identical frames
     with pytest.raises(ValueError, match=r"below 2\*\*63"):
         scorer(_two_identical_frames(10_600_000))
+
+
+# ---------------------------------------------------------------------------
+# exact invariants: transforms the documented math ignores, to the bit
+# ---------------------------------------------------------------------------
+
+_INVARIANT_PARAMS = (
+    ScenarioParams(),
+    ScenarioParams(width=9, height=5, frame_count=7, frame_rate=30, sample_rate=60),
+    # two uint16 blocks per column sum
+    ScenarioParams(width=6, height=260, frame_count=5, frame_rate=8, sample_rate=16),
+)
+
+
+def _sync_and_motion(cap: SceneCapture) -> tuple[float, float]:
+    return score_audio_sync(cap), score_motion(cap)
+
+
+@pytest.mark.parametrize("params", _INVARIANT_PARAMS, ids=["desk", "odd", "tall"])
+def test_flip_roll_and_halved_audio_change_no_score(params):
+    # Flipping rows or rolling columns permutes each frame pair's pixel pairs
+    # and keeps every circular profile correlation, and halving the samples
+    # halves the envelope exactly, which no correlation sees.
+    for scenario in ("genuine", "screen-replay", "printed-photo"):
+        for seed in range(1, 21):
+            cap = generate_scene(scenario, seed, params)
+            sync, motion = _sync_and_motion(cap)
+            for variant in (dataclasses.replace(cap, frames=cap.frames[:, ::-1]),
+                            dataclasses.replace(cap, frames=np.roll(cap.frames, 1, axis=2))):
+                assert _sync_and_motion(variant) == (sync, motion), (scenario, seed)
+            halved = dataclasses.replace(cap, audio=cap.audio * np.float32(0.5))
+            assert score_audio_sync(halved) == sync, (scenario, seed)
+
+
+def _tie_free(frames: np.ndarray) -> bool:
+    """True when each transition's best circular shift is its only best one;
+    at even w the shifts -w/2 and +w/2 are one roll, so that roll ties."""
+    profiles = frames.astype(np.int64).sum(axis=1)
+    w = profiles.shape[1]
+    rolls = (np.arange(w)[:, None] + np.arange(w)) % w
+    dots = np.einsum("tkj,tj->tk", profiles[1:][:, rolls], profiles[:-1])
+    best = dots.max(axis=1, keepdims=True)
+    return bool(np.all((dots == best).sum(axis=1) == 1)
+                and not np.any(2 * dots.argmax(axis=1) == w))
+
+
+def test_reversing_a_tie_free_stack_negates_its_flow_shifts_in_reverse_order():
+    stacks = [generate_scene(scenario, seed, params).frames
+              for scenario in ("genuine", "screen-replay")
+              for params in _INVARIANT_PARAMS[:2] for seed in range(1, 21)]
+    rng = np.random.default_rng(21)
+    stacks += [_random_stack(rng.integers(2**32), (rng.integers(2, 8), rng.integers(1, 6),
+                                                   rng.integers(2, 17)))
+               for _ in range(200)]
+    checked = 0
+    for frames in filter(_tie_free, stacks):
+        assert list(flow_shift(frames[::-1])) == [-s for s in flow_shift(frames)[::-1]]
+        checked += 1
+    assert checked >= 200
