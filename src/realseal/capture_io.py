@@ -13,8 +13,10 @@ A capture directory holds one file, ``capture.rsc``:
 * the frames as uint8, frame_count x height x width, last
 
 There is no trailing byte. Every size follows from the metadata, so the
-reader checks the file's exact length before it makes any array, and every
-array is a read-only view of the one buffer it read. Two writes of the same
+reader reads the header and the metadata first and checks the file's exact
+length against them before it reads the rest: a file of any other length is
+refused without being read. An accepted file is read whole into one buffer,
+and every array is a read-only view of it. Two writes of the same
 capture are byte-identical. Directories in the older per-file layout
 (``capture.json``, ``frame_%04d.pgm``, ...) no longer read.
 """
@@ -22,6 +24,7 @@ capture are byte-identical. Directories in the older per-file layout
 from __future__ import annotations
 
 import errno
+import io
 import json
 import math
 import os
@@ -39,6 +42,7 @@ CAPTURE_FILE = "capture.rsc"
 _MAGIC = b"RSC1"
 _MISSING = (f"corrupt capture: missing {CAPTURE_FILE}; directories in the older "
             "per-file layout (capture.json, frame_%04d.pgm, ...) no longer read")
+_SIZE_MISMATCH = f"corrupt capture: {CAPTURE_FILE} size mismatch"
 
 
 def encode_frame_pgm(frame: np.ndarray) -> bytes:
@@ -106,8 +110,9 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
     return Path(root)
 
 
-def _read_file(path: str) -> bytes:
-    """All of path's bytes; a path that is no regular file is missing.
+def _open_file(path: str) -> io.FileIO:
+    """path, open unbuffered for reading; a path that is no regular file is
+    missing.
 
     O_NONBLOCK keeps the open of a FIFO from waiting for a writer.
     """
@@ -117,28 +122,30 @@ def _read_file(path: str) -> bytes:
         if exc.errno in (errno.ENOENT, errno.ELOOP):  # also a dangling or looping link
             raise CaptureError(_MISSING) from None
         raise
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise CaptureError(_MISSING)
-        with open(fd, "rb", buffering=0, closefd=False) as f:
-            return f.read()
-    finally:
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
+        raise CaptureError(_MISSING)
+    return open(fd, "rb", buffering=0)
 
 
-def _read_meta(data: bytes) -> tuple[dict, int]:
-    """The checked metadata of a capture.rsc, and the offset of its arrays."""
-    if len(data) < 8 or data[:4] != _MAGIC:
+def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
+    """The checked metadata of a capture.rsc of size bytes open as file, read
+    from its start, and the offset of its arrays."""
+    head = file.read(8)
+    if len(head) < 8 or head[:4] != _MAGIC:
         raise CaptureError(f"corrupt capture: bad {CAPTURE_FILE} magic")
-    (n,) = struct.unpack_from("<I", data, 4)
+    (n,) = struct.unpack_from("<I", head, 4)
     start = 8 + n + -n % 4
-    if start > len(data):
+    if start > size:
         raise CaptureError("corrupt capture: metadata runs past the end of the file")
-    if any(data[8 + n:start]):
+    text = file.read(start - 8)
+    if len(text) != start - 8:
+        raise CaptureError(_SIZE_MISMATCH)
+    if any(text[n:]):
         raise CaptureError("corrupt capture: non-zero pad byte")
     # Bad UTF-8 is a ValueError too; nesting past the recursion limit is a RecursionError.
     try:
-        meta = json.loads(data[8:8 + n])
+        meta = json.loads(text[:n])
     except (ValueError, RecursionError):
         raise CaptureError("corrupt capture: metadata is not valid JSON") from None
     if not isinstance(meta, dict):
@@ -163,15 +170,22 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
     root = os.fspath(path)
     if not os.path.isdir(root):
         raise CaptureError(f"corrupt capture: {root} is not a directory")
-    data = _read_file(os.path.join(root, CAPTURE_FILE))
-    meta, offset = _read_meta(data)
-    f, h, w = meta["frame_count"], meta["height"], meta["width"]
-    shapes = ((1, h, w), (meta["thermal_height"], meta["thermal_width"]),
-              (meta["sample_count"],), (f,))
-    counts = [math.prod(s) for s in shapes]
-    # Python ints: a huge frame_count is a size mismatch, never an allocation.
-    if len(data) != offset + 4 * sum(counts) + f * h * w:
-        raise CaptureError(f"corrupt capture: {CAPTURE_FILE} size mismatch")
+    with _open_file(os.path.join(root, CAPTURE_FILE)) as file:
+        size = os.fstat(file.fileno()).st_size
+        meta, offset = _read_meta(file, size)
+        f, h, w = meta["frame_count"], meta["height"], meta["width"]
+        shapes = ((1, h, w), (meta["thermal_height"], meta["thermal_width"]),
+                  (meta["sample_count"],), (f,))
+        counts = [math.prod(s) for s in shapes]
+        # Python ints: a huge frame_count is a size mismatch, never an allocation.
+        if size != offset + 4 * sum(counts) + f * h * w:
+            raise CaptureError(_SIZE_MISMATCH)
+        # Only a file of the declared size is read, whole, into the one buffer
+        # every array views; a file that changed since the check is refused.
+        file.seek(0)
+        data = file.read()
+    if len(data) != size:
+        raise CaptureError(_SIZE_MISMATCH)
     floats = []
     for shape, count in zip(shapes, counts):
         view = np.frombuffer(data, "<f4", count, offset).reshape(shape)

@@ -20,6 +20,7 @@ from .manifest import DEVICE_ID_RE, canonical_encode
 from .registry import load_registry
 from .scenarios import SCENARIO_NAMES
 from .sealing import (
+    _MAX_SIDECAR_LEN,
     VERDICT_AUTHENTIC,
     keygen,
     load_keypair_file,
@@ -59,11 +60,19 @@ def _seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
-def _read_input_file(path: str, what: str) -> bytes:
+def _read_input_file(path: str, what: str, limit: int = -1) -> bytes:
+    """path's bytes, or its first limit of them."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} file not found: {path}")
-    return p.read_bytes()
+    with p.open("rb") as f:
+        return f.read(limit)
+
+
+def _read_sidecar_file(path: str) -> bytes:
+    # One byte past the longest sidecar: a longer file is as malformed as its
+    # prefix, so it is refused without being read whole.
+    return _read_input_file(path, "sidecar", _MAX_SIDECAR_LEN + 1)
 
 
 def _dump_json(obj) -> str:
@@ -145,7 +154,7 @@ def _cmd_seal(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     image = _read_input_file(args.image, "image")
-    sidecar = _read_input_file(args.sidecar, "sidecar")
+    sidecar = _read_sidecar_file(args.sidecar)
     registry = load_registry(_read_input_file(args.registry, "registry"))
     report = verify(image, sidecar, registry)
     if args.json:
@@ -169,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    sidecar = _read_input_file(args.sidecar, "sidecar")
+    sidecar = _read_sidecar_file(args.sidecar)
     manifest, signature = read_sidecar(sidecar)
     if args.json:
         print(canonical_encode(manifest).decode("utf-8"))

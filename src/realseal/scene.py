@@ -352,6 +352,29 @@ def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams
     return base, _pan(base, offsets), shifts
 
 
+def _capture(tag: str, seed: int, params: ScenarioParams, frames: np.ndarray,
+             depth: np.ndarray, thermal: np.ndarray, env: np.ndarray,
+             shifts: np.ndarray | None, location_units: list[float]) -> SceneCapture:
+    """The capture of a generator's scene: audio from its envelope, yaw rates
+    from its pan's shifts (zero when there is no pan), and its identity."""
+    audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
+    return SceneCapture(
+        frames=frames,
+        depth_maps=depth[np.newaxis],
+        # the genuine map is float64: rounded here, after the audio is made, it
+        # keeps the order in which a capture's arrays are allocated
+        thermal=thermal.astype(np.float32, copy=False),
+        audio=audio,
+        sample_rate=params.sample_rate,
+        yaw_rates=(np.zeros(params.frame_count, dtype=np.float32) if shifts is None
+                   else _imu_for_shifts(shifts, PIXELS_PER_RADIAN)),
+        frame_rate=params.frame_rate,
+        device_id=f"SIM-{tag}-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
+        timestamp_unix=_DEFAULT_TIMESTAMP,
+        location=_location(*location_units),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scenario generators
 # ---------------------------------------------------------------------------
@@ -375,7 +398,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     base_depth = _noise(depth_seed, params.width, params.height, 0.05)
     base_depth += _DEPTH_BASE_M
     base_depth[rect] -= 1.0
-    depth_maps = base_depth.astype(np.float32)[np.newaxis]
+    depth = base_depth.astype(np.float32)
 
     xs = np.arange(params.width, dtype=np.float64)
     gradient = 2.0 * (xs / max(params.width - 1, 1) - 0.5)
@@ -390,20 +413,7 @@ def generate_genuine_scene(seed: int, params: ScenarioParams = ScenarioParams())
     # transition's energy depends on its shift alone, which is 1 or 2.
     m = motion_energy(_pan(base, np.array([0, 1, 3])))[shifts - 1]
     env = np.concatenate([[m[0]], m])
-    audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
-
-    return SceneCapture(
-        frames=frames,
-        depth_maps=depth_maps,
-        thermal=temps.astype(np.float32),
-        audio=audio,
-        sample_rate=params.sample_rate,
-        yaw_rates=_imu_for_shifts(shifts, PIXELS_PER_RADIAN),
-        frame_rate=params.frame_rate,
-        device_id=f"SIM-GEN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
-        timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(*units[8:10]),
-    )
+    return _capture("GEN", seed, params, frames, depth, temps, env, shifts, units[8:10])
 
 
 def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioParams()) -> SceneCapture:
@@ -419,25 +429,12 @@ def generate_screen_replay_scene(seed: int, params: ScenarioParams = ScenarioPar
     tex_seed, thermal_seed, audio_seed = draws[:3]
 
     _, frames, shifts = _moving_frames(tex_seed, draws[3] & 3, params)
-    depth_maps = _tilted_plane(*units[4:6], params)[np.newaxis]
+    depth = _tilted_plane(*units[4:6], params)
     thermal = _uniform_thermal(thermal_seed, _SCREEN_TEMP_C, params)
 
     # Independent substream: envelope uncorrelated with motion energy.
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
-    audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
-
-    return SceneCapture(
-        frames=frames,
-        depth_maps=depth_maps,
-        thermal=thermal,
-        audio=audio,
-        sample_rate=params.sample_rate,
-        yaw_rates=_imu_for_shifts(shifts, PIXELS_PER_RADIAN),
-        frame_rate=params.frame_rate,
-        device_id=f"SIM-SCR-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
-        timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(*units[6:8]),
-    )
+    return _capture("SCR", seed, params, frames, depth, thermal, env, shifts, units[6:8])
 
 
 def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioParams()) -> SceneCapture:
@@ -454,24 +451,11 @@ def generate_printed_photo_scene(seed: int, params: ScenarioParams = ScenarioPar
 
     stack = (params.frame_count, params.height, params.width)
     frames = np.broadcast_to(_texture(tex_seed, params.width, params.height), stack)
-    depth_maps = _tilted_plane(*units[3:5], params)[np.newaxis]
+    depth = _tilted_plane(*units[3:5], params)
     thermal = _uniform_thermal(thermal_seed, _AMBIENT_TEMP_C, params)
 
     env = 0.1 + 0.4 * fill_unit(audio_seed, params.frame_count)
-    audio = _audio_from_envelope(env, params.frame_count, params.frame_rate, params.sample_rate)
-
-    return SceneCapture(
-        frames=frames,
-        depth_maps=depth_maps,
-        thermal=thermal,
-        audio=audio,
-        sample_rate=params.sample_rate,
-        yaw_rates=np.zeros(params.frame_count, dtype=np.float32),
-        frame_rate=params.frame_rate,
-        device_id=f"SIM-PRN-{seed & 0xFFFFFFFFFFFFFFFF:016X}",
-        timestamp_unix=_DEFAULT_TIMESTAMP,
-        location=_location(*units[5:7]),
-    )
+    return _capture("PRN", seed, params, frames, depth, thermal, env, None, units[5:7])
 
 
 SCENARIOS = {

@@ -31,6 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import ManifestError, RealSealError, RegistryError, SidecarError
 from .manifest import (
     BYTES_LIKE,
+    MAX_MANIFEST_LEN,
     ManifestScores,
     RealismManifest,
     _check_device_id,
@@ -47,6 +48,8 @@ if TYPE_CHECKING:  # scoring imports numpy, which nothing here needs
 _SIDECAR_MAGIC = b"RSL1"
 SIGNATURE_LEN = 64
 SEED_LEN = 32
+# magic, manifest length, the longest manifest, signature length, signature
+_MAX_SIDECAR_LEN = 8 + MAX_MANIFEST_LEN + 4 + SIGNATURE_LEN
 
 VERDICT_AUTHENTIC = "authentic"
 VERDICT_TAMPERED_IMAGE = "tampered_image"

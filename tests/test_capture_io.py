@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -204,6 +205,22 @@ def test_corrupt_capture_file_is_refused(tmp_path, edit, match):
     _rsc(root).write_bytes(edit(_rsc(root).read_bytes()))
     with pytest.raises(CaptureError, match=match):
         read_capture_dir(root)
+
+
+def test_long_file_is_refused_before_its_body_is_read(tmp_path):
+    # 64 MiB of sparse tail after a real capture: the metadata sizes the file,
+    # so the reader refuses it without allocating the tail
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    with open(_rsc(root), "r+b") as f:
+        f.truncate(os.fstat(f.fileno()).st_size + 64 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaptureError, match="size mismatch"):
+            read_capture_dir(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dimension_mismatch_is_corrupt(tmp_path):

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from realseal import parse_manifest, read_capture_dir
+from realseal import DimensionScores, keygen, parse_manifest, read_capture_dir, seal, write_sidecar
 from realseal.cli import build_parser, main
+from realseal.rng import fill_u64
 
 from oracles import pack_capture_rsc, split_capture_rsc
 
@@ -313,6 +315,39 @@ def test_inspect_truncated_sidecar_fails(sealed_setup, tmp_path, capsys):
     assert "truncated" in err
 
 
+def test_longest_sidecar_reads_and_one_byte_more_is_trailing(tmp_path, capsys):
+    pair = keygen("x" * 64, bytes(32))
+    bundle = seal(b"image", DimensionScores(1.0, 1.0, 1.0, 1.0), 1.0, pair, 2**63 - 1,
+                  (-90_000_000, -180_000_000))
+    longest = tmp_path / "longest.rsl"
+    longest.write_bytes(write_sidecar(bundle))
+    assert longest.stat().st_size == 504
+    assert run(capsys, "inspect", str(longest))[0] == 0
+    longer = tmp_path / "longer.rsl"
+    longer.write_bytes(longest.read_bytes() + b"\x00")
+    code, _, err = run(capsys, "inspect", str(longer))
+    assert code == 1 and "trailing bytes after signature" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_huge_sidecar_is_refused_without_being_read(sealed_setup, tmp_path, capsys, command):
+    # a real sidecar with a sparse tail to 64 MiB
+    huge = tmp_path / "huge.rsl"
+    huge.write_bytes(sealed_setup["sidecar"].read_bytes())
+    with open(huge, "r+b") as f:
+        f.truncate(64 * 2**20)
+    args = ([str(sealed_setup["image"]), str(huge), "--registry", str(sealed_setup["registry"])]
+            if command == "verify" else [str(huge)])
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "Traceback" not in out + err
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -350,6 +385,54 @@ def test_bench_seed_range_is_parsed_without_a_seed_list():
     with pytest.raises(SystemExit) as exc:
         parse(["bench", "--seed", f"0..{2**64}"])
     assert exc.value.code == 2
+
+
+def _byte_mutant(data: bytes, kind: int, a: int, b: int) -> bytes:
+    """data with one byte flipped, 1-8 bytes inserted or deleted, or its tail cut."""
+    out = bytearray(data)
+    pos = a % len(out)
+    if kind == 0:
+        out[pos] ^= b % 255 + 1
+    elif kind == 1:
+        out[pos:pos] = b.to_bytes(8, "little")[:b % 8 + 1]
+    elif kind == 2:
+        del out[pos:pos + b % 8 + 1]
+    else:
+        del out[pos:]
+    return bytes(out)
+
+
+def test_mutated_input_files_exit_with_a_code_not_a_traceback(sealed_setup, tmp_path, capsys):
+    s = sealed_setup
+    registry = s["registry"].read_bytes() + f"CAM-002 revoked {'cd' * 32}\n".encode()
+    sidecar_path, registry_path = tmp_path / "m.rsl", tmp_path / "m.rsr"
+    registry_path.write_bytes(registry)
+    capture_dir = tmp_path / "mcap"
+    capture_dir.mkdir()
+    image, key, out = str(s["image"]), str(s["keys"] / "CAM-001.sk"), str(tmp_path / "o")
+    # (original bytes, the file its mutant replaces, the command run on that file)
+    cases = [
+        (s["sidecar"].read_bytes(), sidecar_path,
+         ["verify", image, str(sidecar_path), "--registry", str(s["registry"])]),
+        (s["sidecar"].read_bytes(), sidecar_path, ["inspect", str(sidecar_path)]),
+        (registry, registry_path,
+         ["verify", image, str(s["sidecar"]), "--registry", str(registry_path)]),
+        ((s["capture"] / "capture.rsc").read_bytes(), capture_dir / "capture.rsc",
+         ["seal", str(capture_dir), "--key", key, "--out", out]),
+    ]
+    draws = iter(fill_u64(0xC11, 3 * 100).tolist())
+    codes = []
+    for i in range(100):
+        original, path, args = cases[i % len(cases)]
+        kind, a, b = (next(draws) for _ in range(3))
+        path.write_bytes(_byte_mutant(original, kind % 4, a, b))
+        code, stdout, stderr = run(capsys, *args)
+        assert code in (0, 1, 2) and "Traceback" not in stdout + stderr, (args, code, stderr)
+        if i % len(cases) == 0:  # a changed sidecar never verifies
+            assert code == 1, stdout
+        codes.append(code)
+    # mutants both pass and fail, so the drive reaches past the first check
+    assert {0, 1} <= set(codes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import pickle
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from realseal import (
     TRUSTED,
     DeviceKeyPair,
     DimensionScores,
+    ManifestError,
     RealismManifest,
     RealSealError,
     Registry,
@@ -26,6 +28,8 @@ from realseal import (
     verify,
     write_sidecar,
 )
+from realseal.manifest import MAX_MANIFEST_LEN
+from realseal.rng import fill_u64
 from realseal.sealing import (
     SealedBundle,
     load_keypair_file,
@@ -359,6 +363,70 @@ def test_soundness_500_random_bundles(device_pair, trusted_registry):
         report = verify(image, write_sidecar(bundle), trusted_registry)
         assert report.verdict == "authentic"
         assert report.signature_valid and report.image_hash_match and report.device_trusted
+
+
+def _sidecar_mutant(data: bytes, other: bytes, kind: int, a: int, b: int) -> bytes:
+    """One mutation of a sidecar, as drawn: kind picks it, a and b place and size it."""
+    out = bytearray(data)
+    pos = a % len(out)
+    if kind == 0:  # insert 1-8 bytes
+        out[pos:pos] = b.to_bytes(8, "little")[:b % 8 + 1]
+    elif kind == 1:  # delete 1-8 bytes
+        del out[pos:pos + b % 8 + 1]
+    elif kind == 2:
+        del out[pos:]
+    elif kind in (3, 4):  # rewrite the manifest or the signature length: near the old one, or anything
+        at = 4 if kind == 3 else 8 + struct.unpack_from(">I", data, 4)[0]
+        (n,) = struct.unpack_from(">I", out, at)
+        struct.pack_into(">I", out, at, (n + b % 9 - 4) % 2**32 if a & 1 else b % 2**32)
+    elif kind == 5:  # splice: this sidecar's head onto another's tail
+        out[pos:] = other[b % len(other):]
+    else:  # insert or delete 1-8 bytes inside the manifest, its length kept in step
+        (n,) = struct.unpack_from(">I", data, 4)
+        at = 8 + a % n
+        if a & 1:
+            out[at:at] = b.to_bytes(8, "little")[:b % 8 + 1]
+        else:
+            del out[at:min(at + b % 8 + 1, 8 + n)]
+        struct.pack_into(">I", out, 4, n + len(out) - len(data))
+    return bytes(out)
+
+
+def test_seeded_sidecar_mutants_are_refused_or_never_authentic():
+    pairs = [keygen(device_id, bytes([i]) * 32)
+             for i, device_id in enumerate(["CAM-001", "CAM-002", "x" * 64])]
+    registry = Registry(tuple(RegistryEntry(p.device_id, TRUSTED, p.public_key.hex())
+                              for p in pairs))
+    ones = DimensionScores(1.0, 1.0, 1.0, 1.0)
+    # the third is the longest sidecar there is
+    bundles = [seal(b"image %d" % i, *fields) for i, fields in enumerate([
+        (SOME_SCORES, 0.5, pairs[0], 1_700_000_000),
+        (SOME_SCORES, 0.25, pairs[1], 0, (45_000_000, -73_000_000)),
+        (ones, 1.0, pairs[2], 2**63 - 1, (-90_000_000, -180_000_000)),
+        (ones, 0.0, pairs[0], 1, (1, 2))])]
+    sidecars = [write_sidecar(bundle) for bundle in bundles]
+    count = 2000
+    draws = iter(fill_u64(0x51DE, 5 * count).tolist())
+    refusals = set()
+    for _ in range(count):
+        which, other, kind, a, b = (next(draws) for _ in range(5))
+        sidecar = sidecars[which % len(sidecars)]
+        mutant = _sidecar_mutant(sidecar, sidecars[other % len(sidecars)], kind % 7, a, b)
+        try:
+            manifest, signature = read_sidecar(mutant)
+        except (SidecarError, ManifestError) as exc:
+            refusals.add(str(exc))
+        else:  # only the canonical bytes of a sidecar read
+            assert write_sidecar(SealedBundle(b"", manifest, signature)) == mutant
+        report = verify(bundles[which % len(sidecars)].image_bytes, mutant, registry)
+        assert (report.verdict == "authentic") == (mutant == sidecar), mutant
+    # the mutants reach every check of the sidecar frame, and the manifest parser
+    assert refusals >= {
+        "truncated sidecar", "bad magic", "signature length must be 64",
+        "truncated sidecar: declared manifest length exceeds buffer",
+        "truncated sidecar: signature exceeds buffer", "trailing bytes after signature",
+        "malformed manifest: non-canonical encoding",
+        f"malformed manifest: longer than {MAX_MANIFEST_LEN} bytes"}, refusals
 
 
 # ---------------------------------------------------------------------------
