@@ -15,7 +15,10 @@ A capture directory holds one file, ``capture.rsc``:
 There is no trailing byte. Every size follows from the metadata, so the
 reader reads the header and the metadata first and checks the file's exact
 length against them before it reads the rest: a file of any other length is
-refused without being read. An accepted file is read whole into one buffer,
+refused without being read. Metadata longer than the longest canonical one
+is refused before it is read, and the metadata read must be the writer's own
+encoding of its fields. The reader checks only the sizes and the shape of
+the metadata; SceneCapture checks every other field. An accepted file is read whole into one buffer,
 and every array is a read-only view of it. Two writes of the same
 capture are byte-identical. Directories in the older per-file layout
 (``capture.json``, ``frame_%04d.pgm``, ...) no longer read.
@@ -30,12 +33,13 @@ import math
 import os
 import stat
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CaptureError
-from .manifest import _is_int
+from .manifest import LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
 from .scene import SceneCapture
 
 CAPTURE_FILE = "capture.rsc"
@@ -55,10 +59,30 @@ def encode_frame_pgm(frame: np.ndarray) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + frame.tobytes()
 
 
-# Sizes that shape the arrays; every other integer is checked by SceneCapture.
+# The metadata's scalar fields, each with its longest value, which sizes
+# _MAX_META_LEN: a 64-char id, integers at 2**63 - 1 and a float of the
+# longest repr (17 digits and a 3-digit exponent). SceneCapture checks them.
+_INT64_MAX = 2**63 - 1
+_FIELDS = {"device_id": "-" * 64, "frame_rate": _INT64_MAX,
+           "pixels_per_radian": sys.float_info.min, "sample_rate": _INT64_MAX,
+           "timestamp_unix": _INT64_MAX}
+# Sizes that shape the arrays, checked here before any array exists.
 _DIMS = ("frame_count", "height", "width", "sample_count", "thermal_height", "thermal_width")
-_INTS = (*_DIMS, "frame_rate", "sample_rate", "timestamp_unix")
-_META_REQUIRED = {*_INTS, "device_id", "pixels_per_radian"}
+_LOCATION = ("lat_microdeg", "lon_microdeg")
+# The float32 arrays, in file order.
+_ARRAYS = ("depth_maps", "thermal", "audio", "yaw_rates")
+
+
+def _encode_meta(meta: dict) -> bytes:
+    """The canonical JSON of a metadata dict: sorted keys, no spaces."""
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# The longest canonical metadata. Longer metadata cannot be canonical, so the
+# reader refuses it before reading it.
+_MAX_META_LEN = len(_encode_meta({
+    **_FIELDS, **dict.fromkeys(_DIMS, _INT64_MAX),
+    "location": dict(zip(_LOCATION, (-LAT_MICRODEG_MAX, -LON_MICRODEG_MAX)))}))
 
 
 def _overwrite(path: str, *parts) -> None:
@@ -83,29 +107,14 @@ def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
     """Write a capture directory; returns its path."""
     root = os.fspath(path)
     os.makedirs(root, exist_ok=True)
-    meta: dict = {
-        "device_id": capture.device_id,
-        "frame_count": capture.frame_count,
-        "frame_rate": capture.frame_rate,
-        "height": capture.height,
-        "pixels_per_radian": capture.pixels_per_radian,
-        "sample_count": capture.audio.size,
-        "sample_rate": capture.sample_rate,
-        "thermal_height": capture.thermal.shape[0],
-        "thermal_width": capture.thermal.shape[1],
-        "timestamp_unix": capture.timestamp_unix,
-        "width": capture.width,
-    }
+    meta = {k: getattr(capture, k) for k in _FIELDS}
+    meta.update(zip(_DIMS, (*capture.frames.shape, capture.audio.size, *capture.thermal.shape)))
     if capture.location is not None:
-        meta["location"] = {
-            "lat_microdeg": capture.location[0],
-            "lon_microdeg": capture.location[1],
-        }
-    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        meta["location"] = dict(zip(_LOCATION, capture.location))
+    text = _encode_meta(meta)
     header = _MAGIC + struct.pack("<I", len(text)) + text + bytes(-len(text) % 4)
-    floats = (capture.depth_maps, capture.thermal, capture.audio, capture.yaw_rates)
     _overwrite(os.path.join(root, CAPTURE_FILE), header,
-               *(np.ascontiguousarray(a, dtype="<f4") for a in floats),
+               *(np.ascontiguousarray(getattr(capture, a), dtype="<f4") for a in _ARRAYS),
                np.ascontiguousarray(capture.frames))
     return Path(root)
 
@@ -128,9 +137,10 @@ def _open_file(path: str) -> io.FileIO:
     return open(fd, "rb", buffering=0)
 
 
-def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
-    """The checked metadata of a capture.rsc of size bytes open as file, read
-    from its start, and the offset of its arrays."""
+def _read_meta(file: io.FileIO, size: int) -> tuple[dict, bytes, int]:
+    """The metadata of a capture.rsc of size bytes open as file, read from its
+    start, with its fields and sizes checked; its bytes; and the offset of the
+    arrays."""
     head = file.read(8)
     if len(head) < 8 or head[:4] != _MAGIC:
         raise CaptureError(f"corrupt capture: bad {CAPTURE_FILE} magic")
@@ -138,6 +148,8 @@ def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
     start = 8 + n + -n % 4
     if start > size:
         raise CaptureError("corrupt capture: metadata runs past the end of the file")
+    if n > _MAX_META_LEN:
+        raise CaptureError(f"corrupt capture: metadata longer than {_MAX_META_LEN} bytes")
     text = file.read(start - 8)
     if len(text) != start - 8:
         raise CaptureError(_SIZE_MISMATCH)
@@ -150,9 +162,9 @@ def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
         raise CaptureError("corrupt capture: metadata is not valid JSON") from None
     if not isinstance(meta, dict):
         raise CaptureError("corrupt capture: metadata must be a JSON object")
-    if set(meta) - {"location"} != _META_REQUIRED:
+    if set(meta) - {"location"} != {*_DIMS, *_FIELDS}:
         raise CaptureError("corrupt capture: metadata has wrong fields")
-    for key in _INTS:
+    for key in _DIMS:
         if not _is_int(meta[key]):
             raise CaptureError(f"corrupt capture: {key} must be an integer")
     for key in _DIMS:
@@ -160,9 +172,9 @@ def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
             raise CaptureError(f"corrupt capture: {key} must be positive")
     if "location" in meta:
         loc = meta["location"]
-        if not isinstance(loc, dict) or set(loc) != {"lat_microdeg", "lon_microdeg"}:
+        if not isinstance(loc, dict) or set(loc) != {*_LOCATION}:
             raise CaptureError("corrupt capture: malformed location")
-    return meta, start
+    return meta, text[:n], start
 
 
 def read_capture_dir(path: str | Path) -> SceneCapture:
@@ -172,10 +184,9 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         raise CaptureError(f"corrupt capture: {root} is not a directory")
     with _open_file(os.path.join(root, CAPTURE_FILE)) as file:
         size = os.fstat(file.fileno()).st_size
-        meta, offset = _read_meta(file, size)
-        f, h, w = meta["frame_count"], meta["height"], meta["width"]
-        shapes = ((1, h, w), (meta["thermal_height"], meta["thermal_width"]),
-                  (meta["sample_count"],), (f,))
+        meta, text, offset = _read_meta(file, size)
+        f, h, w, samples, th, tw = (meta[k] for k in _DIMS)
+        shapes = ((1, h, w), (th, tw), (samples,), (f,))
         counts = [math.prod(s) for s in shapes]
         # Python ints: a huge frame_count is a size mismatch, never an allocation.
         if size != offset + 4 * sum(counts) + f * h * w:
@@ -186,23 +197,18 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         data = file.read()
     if len(data) != size:
         raise CaptureError(_SIZE_MISMATCH)
-    floats = []
-    for shape, count in zip(shapes, counts):
+    floats = {}
+    for name, shape, count in zip(_ARRAYS, shapes, counts):
         view = np.frombuffer(data, "<f4", count, offset).reshape(shape)
-        floats.append(view.astype(np.float32, copy=False))
+        floats[name] = view.astype(np.float32, copy=False)
         offset += 4 * count
-    depth_maps, thermal, audio, yaw_rates = floats
     loc = meta.get("location")
-    return SceneCapture(
+    capture = SceneCapture(
         frames=np.frombuffer(data, np.uint8, f * h * w, offset).reshape(f, h, w),
-        depth_maps=depth_maps,
-        thermal=thermal,
-        audio=audio,
-        sample_rate=meta["sample_rate"],
-        yaw_rates=yaw_rates,
-        frame_rate=meta["frame_rate"],
-        device_id=meta["device_id"],
-        timestamp_unix=meta["timestamp_unix"],
-        location=None if loc is None else (loc["lat_microdeg"], loc["lon_microdeg"]),
-        pixels_per_radian=meta["pixels_per_radian"],
-    )
+        location=None if loc is None else tuple(map(loc.get, _LOCATION)),
+        **floats, **{k: meta[k] for k in _FIELDS})
+    # After SceneCapture, so that an ill-typed field is named: only the
+    # writer's own encoding of the fields read is accepted.
+    if _encode_meta(meta) != text:
+        raise CaptureError("corrupt capture: metadata is not canonical JSON")
+    return capture

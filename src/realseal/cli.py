@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / authentic, 1 verification or data failure, 2 usage
 error. Text output is human-oriented; only --json output is contract-stable.
+No input file is read whole at any size: verify hashes the image in chunks,
+reads at most one byte past the longest sidecar and refuses a registry over
+64 MiB before reading it; a secret key file is read up to 1,025 bytes.
 
 simulate, seal and bench import the numpy-backed modules (capture_io, scene,
 scoring) when they run, so keygen, verify and inspect never load numpy.
@@ -10,26 +13,36 @@ scoring) when they run, so keygen, verify and inspect never load numpy.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
-from .errors import RealSealError
+from .errors import RealSealError, RegistryError
 from .manifest import DEVICE_ID_RE, canonical_encode
 from .registry import load_registry
 from .scenarios import SCENARIO_NAMES
 from .sealing import (
     _MAX_SIDECAR_LEN,
+    SEED_LEN,
     VERDICT_AUTHENTIC,
+    _verify_image_hash,
     keygen,
     load_keypair_file,
     read_sidecar,
     seal,
-    verify,
     write_keypair_files,
     write_sidecar,
 )
+
+
+# A registry line is at most 138 bytes, so this holds over 480,000 entries:
+# over 7 times the benchmark's 8.6 MB, 10^5-device registry. A larger file is
+# a data failure, refused before it is read, not a MemoryError.
+_MAX_REGISTRY_LEN = 64 * 2**20
+_HASH_CHUNK = 2**16
 
 
 class UsageError(Exception):
@@ -60,19 +73,36 @@ def _seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
-def _read_input_file(path: str, what: str, limit: int = -1) -> bytes:
-    """path's bytes, or its first limit of them."""
+def _open_input_file(path: str, what: str) -> BinaryIO:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} file not found: {path}")
-    with p.open("rb") as f:
-        return f.read(limit)
+    return p.open("rb")
 
 
 def _read_sidecar_file(path: str) -> bytes:
     # One byte past the longest sidecar: a longer file is as malformed as its
     # prefix, so it is refused without being read whole.
-    return _read_input_file(path, "sidecar", _MAX_SIDECAR_LEN + 1)
+    with _open_input_file(path, "sidecar") as f:
+        return f.read(_MAX_SIDECAR_LEN + 1)
+
+
+def _read_registry_file(path: str) -> bytes:
+    """The registry file's bytes; a larger file than _MAX_REGISTRY_LEN is
+    refused before it is read."""
+    with _open_input_file(path, "registry") as f:
+        if os.fstat(f.fileno()).st_size > _MAX_REGISTRY_LEN:
+            raise RegistryError(f"registry file {path} is larger than {_MAX_REGISTRY_LEN} bytes")
+        return f.read()
+
+
+def _image_file_hash(path: str) -> str:
+    """The SHA-256 hex digest of the image file, read in chunks, never whole."""
+    digest = hashlib.sha256()
+    with _open_input_file(path, "image") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _dump_json(obj) -> str:
@@ -91,10 +121,10 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
             seed = bytes.fromhex(args.seed)
         except ValueError:
             raise UsageError("--seed must be 64 hex chars") from None
-        if len(seed) != 32:
+        if len(seed) != SEED_LEN:
             raise UsageError("--seed must be 64 hex chars")
     else:
-        seed = os.urandom(32)
+        seed = os.urandom(SEED_LEN)
     pair = keygen(args.device_id, seed)
     sk, pk = write_keypair_files(pair, args.out, force=args.force)
     print(f"wrote {sk} and {pk}")
@@ -153,10 +183,10 @@ def _cmd_seal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    image = _read_input_file(args.image, "image")
+    image_sha256 = _image_file_hash(args.image)
     sidecar = _read_sidecar_file(args.sidecar)
-    registry = load_registry(_read_input_file(args.registry, "registry"))
-    report = verify(image, sidecar, registry)
+    registry = load_registry(_read_registry_file(args.registry))
+    report = _verify_image_hash(image_sha256, sidecar, registry)
     if args.json:
         manifest_obj = (json.loads(canonical_encode(report.manifest))
                         if report.manifest is not None else None)

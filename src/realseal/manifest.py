@@ -53,6 +53,11 @@ def _check_device_id(value: object, error: type[RealSealError]) -> None:
         raise error("device_id must be 1-64 chars of [A-Za-z0-9_-]")
 
 
+def _check_timestamp(value: object, error: type[RealSealError]) -> None:
+    if not _is_int(value) or not 0 <= value <= _TIMESTAMP_MAX:
+        raise error("timestamp_unix must be an integer within [0, 2**63 - 1]")
+
+
 def _checked_location(value: object, error: type[RealSealError]) -> tuple[int, int] | None:
     """value as a (lat, lon) tuple of micro-degrees in range; None stays None."""
     if value is None:
@@ -109,8 +114,7 @@ class RealismManifest:
         if not _is_int(self.version) or self.version != MANIFEST_VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
         _check_device_id(self.device_id, ManifestError)
-        if not _is_int(self.timestamp_unix) or not 0 <= self.timestamp_unix <= _TIMESTAMP_MAX:
-            raise ManifestError("timestamp_unix out of range")
+        _check_timestamp(self.timestamp_unix, ManifestError)
         if not isinstance(self.image_sha256, str) or not _HEX64_RE.match(self.image_sha256):
             raise ManifestError("image_sha256 must be 64 lowercase hex chars")
         object.__setattr__(self, "location", _checked_location(self.location, ManifestError))

@@ -23,14 +23,14 @@ come from the substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CaptureError
-from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _checked_location,
-                       _is_int)
+from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _check_timestamp,
+                       _checked_location, _is_int)
 from .rng import fill_u64, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
 from .scoring import _flow_is_exact, motion_energy, window_bounds
@@ -174,8 +174,7 @@ class SceneCapture:
         if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
             raise CaptureError("audio shorter than the frame span")
         _check_device_id(self.device_id, CaptureError)
-        if not _is_int(self.timestamp_unix) or self.timestamp_unix < 0:
-            raise CaptureError("timestamp_unix must be a non-negative integer")
+        _check_timestamp(self.timestamp_unix, CaptureError)
         object.__setattr__(self, "location", _checked_location(self.location, CaptureError))
         if not _number_within(self.pixels_per_radian, 0.0, MAX_PIXELS_PER_RADIAN):
             raise CaptureError("pixels_per_radian must be a number within (0, 1e6]")
@@ -196,19 +195,8 @@ class SceneCapture:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SceneCapture):
             return NotImplemented
-        return (
-            np.array_equal(self.frames, other.frames)
-            and np.array_equal(self.depth_maps, other.depth_maps)
-            and np.array_equal(self.thermal, other.thermal)
-            and np.array_equal(self.audio, other.audio)
-            and self.sample_rate == other.sample_rate
-            and np.array_equal(self.yaw_rates, other.yaw_rates)
-            and self.frame_rate == other.frame_rate
-            and self.device_id == other.device_id
-            and self.timestamp_unix == other.timestamp_unix
-            and self.location == other.location
-            and self.pixels_per_radian == other.pixels_per_radian
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)

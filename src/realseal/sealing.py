@@ -50,6 +50,7 @@ SIGNATURE_LEN = 64
 SEED_LEN = 32
 # magic, manifest length, the longest manifest, signature length, signature
 _MAX_SIDECAR_LEN = 8 + MAX_MANIFEST_LEN + 4 + SIGNATURE_LEN
+_MAX_KEY_FILE_LEN = 1024
 
 VERDICT_AUTHENTIC = "authentic"
 VERDICT_TAMPERED_IMAGE = "tampered_image"
@@ -242,9 +243,20 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
     malformed. A registry that is not a Registry is the caller's error and
     raises RegistryError.
     """
+    # bytes() of bytes is the object itself; a strided memoryview is copied,
+    # since hashlib takes only contiguous buffers
+    digest = image_hash(bytes(image_bytes)) if isinstance(image_bytes, BYTES_LIKE) else None
+    return _verify_image_hash(digest, sidecar_bytes, registry)
+
+
+def _verify_image_hash(image_sha256: str | None, sidecar_bytes: bytes,
+                       registry: Registry) -> VerificationReport:
+    """verify() of an image given by its SHA-256 hex digest, so that a caller
+    can hash an image it never holds whole; None stands for an image that is
+    not bytes-like."""
     if not isinstance(registry, Registry):
         raise RegistryError(f"registry must be Registry, not {type(registry).__name__}")
-    if not isinstance(image_bytes, BYTES_LIKE):
+    if image_sha256 is None:
         return _MALFORMED_REPORT
     try:
         manifest_bytes, signature = _split_sidecar(sidecar_bytes)
@@ -252,9 +264,7 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
     except (SidecarError, ManifestError):
         return _MALFORMED_REPORT
 
-    # bytes() of bytes is the object itself; a strided memoryview is copied,
-    # since hashlib takes only contiguous buffers
-    hash_match = image_hash(bytes(image_bytes)) == manifest.image_sha256
+    hash_match = image_sha256 == manifest.image_sha256
     entry = lookup(registry, manifest.device_id)
     if entry is None:
         return VerificationReport(
@@ -304,12 +314,21 @@ def write_keypair_files(pair: DeviceKeyPair, directory: str | Path,
 
 
 def load_keypair_file(path: str | Path) -> DeviceKeyPair:
-    """Load a secret key file; the device id is the file stem."""
+    """Load a secret key file; the device id is the file stem.
+
+    A key file is 64 hex chars and an LF; whitespace around the hex is
+    allowed, up to _MAX_KEY_FILE_LEN bytes in all. Only that many bytes and
+    one more are read, so a longer file is refused without being read whole.
+    """
     p = Path(path)
     try:
-        text = p.read_text(encoding="ascii").strip()
+        with p.open("rb") as f:
+            data = f.read(_MAX_KEY_FILE_LEN + 1)
+        text = data.decode("ascii").strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise RealSealError(f"cannot read secret key file {p}: {exc}") from None
+    if len(data) > _MAX_KEY_FILE_LEN:
+        raise RealSealError(f"secret key file {p} is longer than {_MAX_KEY_FILE_LEN} bytes")
     try:
         seed = bytes.fromhex(text)
     except ValueError:

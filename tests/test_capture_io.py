@@ -19,6 +19,7 @@ from realseal import (
     generate_screen_replay_scene,
     read_capture_dir,
     score_capture,
+    seal,
     write_capture_dir,
 )
 from realseal.rng import fill_u64
@@ -238,12 +239,14 @@ def test_huge_frame_count_is_corrupt_not_an_allocation(tmp_path):
         read_capture_dir(root)
 
 
-@pytest.mark.parametrize("meta", ["{not json", '{"zz":' + "[" * 200_000 + "]" * 200_000 + "}"],
-                         ids=["syntax", "nested-too-deep"])
-def test_capture_json_that_is_not_valid_json_is_corrupt(tmp_path, meta):
+@pytest.mark.parametrize("meta,match", [
+    ("{not json", "metadata is not valid JSON"),
+    ('{"zz":' + "[" * 200_000 + "]" * 200_000 + "}", "metadata longer than 491 bytes"),
+], ids=["syntax", "nested-too-deep"])
+def test_capture_json_that_is_not_valid_json_is_corrupt(tmp_path, meta, match):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     _edit_meta(root, lambda _: meta)
-    with pytest.raises(CaptureError, match="metadata is not valid JSON"):
+    with pytest.raises(CaptureError, match=match):
         read_capture_dir(root)
 
 
@@ -358,11 +361,13 @@ def test_boolean_pixels_per_radian_is_corrupt(tmp_path):
         read_capture_dir(root)
 
 
-@pytest.mark.parametrize("ppr", ["1e300", "1" + "0" * 400], ids=["1e300", "10**400"])
-def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr):
+@pytest.mark.parametrize("ppr,match", [
+    ("1e300", "pixels_per_radian"), ("1" + "0" * 400, "metadata longer than 491 bytes"),
+], ids=["1e300", "10**400"])
+def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr, match):
     root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
     _edit_meta(root, lambda m: m.replace('"pixels_per_radian":64.0', f'"pixels_per_radian":{ppr}'))
-    with pytest.raises(CaptureError, match="pixels_per_radian"):
+    with pytest.raises(CaptureError, match=match):
         read_capture_dir(root)
 
 
@@ -374,6 +379,59 @@ def test_integer_pixels_per_radian_reads_as_float(tmp_path):
     back = read_capture_dir(root)
     assert type(back.pixels_per_radian) is float and back == cap
     assert _rsc(write_capture_dir(back, tmp_path / "again")).read_bytes() == written
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.replace(",", ", "),
+    lambda m: json.dumps(dict(reversed(json.loads(m).items())), separators=(",", ":")),
+    lambda m: m.replace("{", '{"width":32,', 1),
+    lambda m: m.replace('"SIM-', '"\\u0053IM-'),
+    lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":6.4e1'),
+], ids=["spaces", "key-order", "repeated-key", "escape", "exponent"])
+def test_metadata_that_is_not_the_writers_encoding_is_refused(tmp_path, edit):
+    # each edit reads back to the same fields, so only the bytes tell it apart
+    cap = dataclasses.replace(generate_genuine_scene(1), location=(-33_868_820, 151_209_296))
+    root = write_capture_dir(cap, tmp_path / "cap")
+    meta = split_capture_rsc(_rsc(root).read_bytes())[0].decode()
+    assert json.loads(edit(meta)) == json.loads(meta) and edit(meta) != meta
+    _edit_meta(root, edit)
+    with pytest.raises(CaptureError, match="metadata is not canonical JSON"):
+        read_capture_dir(root)
+
+
+def test_longest_metadata_declaration_is_refused_before_it_is_read(tmp_path):
+    # a sparse file that declares 64 MiB of metadata and holds that much
+    root = write_capture_dir(generate_genuine_scene(1), tmp_path / "cap")
+    with open(_rsc(root), "r+b") as f:
+        f.write(b"RSC1" + struct.pack("<I", 64 * 2**20))
+        f.truncate(8 + 64 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaptureError, match="metadata longer than 491 bytes"):
+            read_capture_dir(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("timestamp,text,match", [
+    (2**63, "9223372036854775808", "timestamp_unix must be an integer within"),
+    (10**5000, "1" + "0" * 5000, "metadata longer than 491 bytes"),
+], ids=["2**63", "10**5000"])
+def test_timestamp_past_the_manifest_range_is_refused(tmp_path, device_pair, timestamp, text,
+                                                      match):
+    # the latest timestamp a manifest signs reads back and seals; a later one is
+    # refused in memory and on disk
+    cap = dataclasses.replace(generate_genuine_scene(1), timestamp_unix=2**63 - 1)
+    root = write_capture_dir(cap, tmp_path / "cap")
+    assert read_capture_dir(root) == cap
+    seal(b"", *score_capture(cap), device_pair, cap.timestamp_unix)
+    with pytest.raises(CaptureError, match="timestamp_unix must be an integer within"):
+        dataclasses.replace(cap, timestamp_unix=timestamp)
+    _edit_meta(root, lambda m: m.replace(str(2**63 - 1), text))
+    with pytest.raises(CaptureError, match=match):
+        read_capture_dir(root)
 
 
 def test_non_finite_values_rejected(tmp_path):

@@ -179,7 +179,7 @@ def test_seal_nested_capture_json_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "seal", str(tmp_path / "cap"),
                        "--key", str(keys / "CAM-001.sk"), "--out", str(tmp_path / "o"))
     assert code == 1
-    assert err.startswith("error:") and "not valid JSON" in err
+    assert err.startswith("error:") and "metadata longer than 491 bytes" in err
 
 
 def test_seal_audio_slower_than_frames_is_data_error(low_rate_capture_dir, tmp_path, capsys):
@@ -345,6 +345,38 @@ def test_huge_sidecar_is_refused_without_being_read(sealed_setup, tmp_path, caps
     finally:
         tracemalloc.stop()
     assert code == 1 and "Traceback" not in out + err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name,size,says", [
+    # 64 MiB, not 64 GiB: the whole image is hashed, which at 64 GiB takes about
+    # a minute; the chunked read holds as little at any size
+    ("image", 64 * 2**20, "verdict: tampered_image"),
+    ("registry", 64 * 2**30, "is larger than 67108864 bytes"),
+    ("key", 64 * 2**30, "is longer than 1024 bytes"),
+], ids=["image", "registry", "key"])
+def test_huge_input_file_exits_1_without_being_read(sealed_setup, tmp_path, capsys, name, size,
+                                                     says):
+    # a real file with a sparse tail
+    files = {"image": sealed_setup["image"], "registry": sealed_setup["registry"],
+             "key": sealed_setup["keys"] / "CAM-001.sk"}
+    huge = tmp_path / "huge" / files[name].name
+    huge.parent.mkdir()
+    huge.write_bytes(files[name].read_bytes())
+    with open(huge, "r+b") as f:
+        f.truncate(size)
+    files[name] = huge
+    args = (["seal", str(sealed_setup["capture"]), "--key", str(files["key"]),
+             "--out", str(tmp_path / "o")] if name == "key" else
+            ["verify", str(files["image"]), str(sealed_setup["sidecar"]),
+             "--registry", str(files["registry"])])
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and says in out + err and "Traceback" not in out + err
     assert peak < 2**20
 
 

@@ -499,3 +499,86 @@ def test_load_agrees_with_reference_and_grammar_when_separators_move():
             assert matched, data
             accepted += 1
     assert accepted > 900 and refused > 1600 and repeats > 30
+
+
+# ---------------------------------------------------------------------------
+# seeded mutants: each one loads to valid entries that save back, or is
+# refused with a RegistryError that names one of its lines
+# ---------------------------------------------------------------------------
+
+_FUZZ_BASES = (
+    CANONICAL,
+    b"# fleet keys\n\n" + CANONICAL + b"# end\n",
+    CANONICAL[:-1],
+    f"{'X' * 64} trusted {KEY_A}\nc_9 revoked {KEY_B}\n\n".encode(),
+)
+# bytes that mean something to the format, or to UTF-8
+_FUZZ_SNIPPETS = (b" ", b"\n", b"#", b"\r\n", b"\t", b"A", b"f", b"-", b"0" * 64, b"trusted",
+                  b"\xef\xbb\xbf", b"\xff", "é".encode(), " ".encode(), b"\x85")
+_FUZZ_STATUSES = (b"Trusted", b"TRUSTED", b"revokeD", b"REVOKED")
+
+
+def _registry_mutant(data: bytes, other: bytes, kind: int, a: int, b: int) -> bytes:
+    """One mutation of data, as drawn: kind picks it, a and b place and size it."""
+    pos = a % (len(data) + 1)
+    if b & 1:  # at the start of its line
+        pos = data.rfind(b"\n", 0, pos) + 1
+    b >>= 1
+    if kind == 0:
+        return data[:pos] + _FUZZ_SNIPPETS[b % len(_FUZZ_SNIPPETS)] + data[pos:]
+    if kind == 1:  # delete 1-8 bytes
+        return data[:pos] + data[pos + b % 8 + 1:]
+    if kind == 2:
+        return data[:pos]
+    if kind == 3:  # splice: this file's head onto another's tail, from a line start or not
+        at = b % (len(other) + 1)
+        return data[:pos] + other[other.rfind(b"\n", 0, at) + 1 if b & 1 else at:]
+    lines = data.split(b"\n")
+    if kind == 4:  # a line repeated elsewhere: an entry's id comes twice
+        lines.insert(a % (len(lines) + 1), lines[b % len(lines)])
+        return b"\n".join(lines)
+    if kind == 5 and data:  # one byte replaced: a '#' or LF in a field, or a non-hex id char
+        at = pos % len(data)
+        return data[:at] + b"#\nAg"[b % 4:][:1] + data[at + 1:]
+    if kind == 6:  # CRLF line ends, on one line or all
+        i = b % len(lines)
+        return b"\r\n".join(lines) if a & 1 else b"\n".join(
+            lines[:i] + [lines[i] + b"\r"] + lines[i + 1:])
+    if kind == 7:
+        return b"\xef\xbb\xbf" + data
+    for status in (b"trusted", b"revoked"):  # a status in another case
+        at = data.find(status, pos)
+        if at >= 0:
+            return data[:at] + _FUZZ_STATUSES[b % len(_FUZZ_STATUSES)] + data[at + 7:]
+    return data
+
+
+def test_seeded_registry_mutants_load_and_save_back_or_name_their_line():
+    count = 2000
+    draws = iter(fill_u64(0x5EED_4E6, 10 * count).tolist())
+    accepted = refused = 0
+    for _ in range(count):
+        data = _FUZZ_BASES[next(draws) % len(_FUZZ_BASES)]
+        for _ in range(1 + next(draws) % 2):
+            other, kind, a, b = (next(draws) for _ in range(4))
+            data = _registry_mutant(data, _FUZZ_BASES[other % len(_FUZZ_BASES)], kind % 9, a, b)
+        try:  # any other exception fails the test
+            registry = load_registry(data)
+        except RegistryError as exc:
+            refused += 1
+            match = re.match(r"line (\d+): ", str(exc))
+            if match is None:
+                assert str(exc) == "registry file is not valid UTF-8", data
+                continue
+            lines = data.decode().split("\n")
+            lineno = int(match[1])
+            # the named line exists, and is no blank or comment line
+            assert 1 <= lineno <= len(lines) and lines[lineno - 1][:1] not in ("", "#"), data
+            continue
+        accepted += 1
+        # every entry is one RegistryEntry would build, and the file saves back to them
+        assert [RegistryEntry(e.device_id, e.status, e.public_key_hex)
+                for e in registry.entries] == list(registry.entries), data
+        assert load_registry(save_registry(registry)).entries == registry.entries, data
+    # both outcomes are common, so the mutants neither all break nor all miss
+    assert min(accepted, refused) >= count // 10, (accepted, refused)

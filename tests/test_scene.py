@@ -541,15 +541,27 @@ def test_arrays_are_frozen():
             setattr(cap, field, value)
 
 
-@pytest.mark.parametrize("field", ["thermal", "audio", "sample_rate", "yaw_rates"])
+# One other valid value per SceneCapture field, in field order.
+_CHANGED = {
+    "frames": lambda cap: cap.frames[:, :, ::-1],
+    "depth_maps": lambda cap: cap.depth_maps * np.float32(2.0),
+    "thermal": lambda cap: cap.thermal + np.float32(1.0),
+    "audio": lambda cap: -cap.audio,
+    "sample_rate": lambda cap: cap.sample_rate // 2,
+    "yaw_rates": lambda cap: cap.yaw_rates * np.float32(2.0),
+    "frame_rate": lambda cap: cap.frame_rate * 2,
+    "device_id": lambda cap: cap.device_id + "X",
+    "timestamp_unix": lambda cap: cap.timestamp_unix + 1,
+    "location": lambda cap: (1, 2),
+    "pixels_per_radian": lambda cap: cap.pixels_per_radian / 2,
+}
+
+
+@pytest.mark.parametrize("field", _CHANGED)
 def test_captures_differing_in_one_sensor_are_unequal(field):
-    cap = generate_genuine_scene(1)
-    changed = {
-        "thermal": cap.thermal + np.float32(1.0),
-        "audio": -cap.audio,
-        "sample_rate": cap.sample_rate // 2,
-        "yaw_rates": cap.yaw_rates * np.float32(2.0),
-    }[field]
-    other = dataclasses.replace(cap, **{field: changed})
+    assert list(_CHANGED) == [f.name for f in dataclasses.fields(SceneCapture)]
+    # no location, so that the location case goes from None to a tuple
+    cap = dataclasses.replace(generate_genuine_scene(1), location=None)
+    other = dataclasses.replace(cap, **{field: _CHANGED[field](cap)})
     assert other != cap and cap != other
     assert dataclasses.replace(cap) == cap

@@ -476,6 +476,17 @@ def test_secret_key_file_is_owner_only_before_the_seed_is_written(
     assert all(mode == 0o600 for text, mode in seen if secret in text)
 
 
+def test_keypair_file_of_at_most_1024_bytes_loads(tmp_path, device_pair):
+    # whitespace around the hex is allowed, up to the cap; past it the file is refused
+    sk = tmp_path / f"{device_pair.device_id}.sk"
+    line = device_pair.secret_seed.hex() + "\n"
+    sk.write_text(line.ljust(1024))
+    assert load_keypair_file(sk) == device_pair
+    sk.write_text(line.ljust(1025))
+    with pytest.raises(RealSealError, match="longer than 1024 bytes"):
+        load_keypair_file(sk)
+
+
 def test_keypair_file_bad_contents(tmp_path):
     bad = tmp_path / "CAM-9.sk"
     bad.write_text("zz" * 32)
