@@ -2,9 +2,10 @@
 
 Exit codes: 0 success / authentic, 1 verification or data failure, 2 usage
 error. Text output is human-oriented; only --json output is contract-stable.
-No input file is read whole at any size: verify hashes the image in chunks,
-reads at most one byte past the longest sidecar and refuses a registry over
-64 MiB before reading it; a secret key file is read up to 1,025 bytes.
+No input file is read whole at any size: verify reads at most one byte past
+the longest sidecar, refuses a registry over 64 MiB before reading it, and
+hashes the image in chunks once the sidecar parses; a secret key file is read
+up to 1,025 bytes.
 
 simulate, seal and bench import the numpy-backed modules (capture_io, scene,
 scoring) when they run, so keygen, verify and inspect never load numpy.
@@ -96,12 +97,11 @@ def _read_registry_file(path: str) -> bytes:
         return f.read()
 
 
-def _image_file_hash(path: str) -> str:
-    """The SHA-256 hex digest of the image file, read in chunks, never whole."""
+def _image_file_hash(f: BinaryIO) -> str:
+    """The SHA-256 hex digest of the open image file, read in chunks, never whole."""
     digest = hashlib.sha256()
-    with _open_input_file(path, "image") as f:
-        while chunk := f.read(_HASH_CHUNK):
-            digest.update(chunk)
+    while chunk := f.read(_HASH_CHUNK):
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -183,10 +183,12 @@ def _cmd_seal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    image_sha256 = _image_file_hash(args.image)
-    sidecar = _read_sidecar_file(args.sidecar)
-    registry = load_registry(_read_registry_file(args.registry))
-    report = _verify_image_hash(image_sha256, sidecar, registry)
+    # The image is opened first, so that a missing one is a usage error, but
+    # hashed only once the sidecar parses.
+    with _open_input_file(args.image, "image") as image:
+        sidecar = _read_sidecar_file(args.sidecar)
+        registry = load_registry(_read_registry_file(args.registry))
+        report = _verify_image_hash(lambda: _image_file_hash(image), sidecar, registry)
     if args.json:
         manifest_obj = (json.loads(canonical_encode(report.manifest))
                         if report.manifest is not None else None)

@@ -172,7 +172,7 @@ def _checked_columns(data: bytes) -> tuple[list[str], list[str], list[str]] | No
     if rows < 0:  # comments or blank lines, or a file to refuse: drop them, look again
         text = "\n".join(line for line in text.split("\n") if line and line[0] != "#")
         rows = _rows(text.encode("utf-8").translate(None, _ID_CHARS), False)
-        if rows < 0:
+        if rows < 0:  # refuse before the split: its token count has no bound
             return None
     fields = text.split()
     # Free the text, then the split list and its one status string per line,

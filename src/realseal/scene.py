@@ -68,21 +68,6 @@ def _number_within(value: object, lo: float, hi: float) -> bool:
             and lo < value <= hi)
 
 
-def _check_frame_span(frame_count: int, sample_rate: int) -> None:
-    """Refuse a span whose last frame-window bound, frame_count * sample_rate
-    on Python ints, does not fit the int64 arithmetic of window_bounds. As
-    sample_rate >= frame_rate, this bounds both rates."""
-    if frame_count * sample_rate >= 2**63:
-        raise CaptureError("frame_count * sample_rate must be below 2**63")
-
-
-def _check_frame_shape(height: int, width: int) -> None:
-    """Refuse frames so large that a flow_shift dot product, at most
-    w * (255 * h)**2, would not fit int64."""
-    if not _flow_is_exact(height, width):
-        raise CaptureError("frames too large: width * (255 * height)**2 must be below 2**63")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     # No contiguous copy: a broadcast stack keeps sharing its one frame.
     arr = np.asarray(arr)
@@ -125,11 +110,11 @@ class SceneCapture:
         yaw = np.asarray(self.yaw_rates)
         if frames.dtype != np.uint8:
             raise CaptureError("frame pixels must be uint8")
-        if frames.ndim != 3 or min(frames.shape[1:]) < 2:
-            raise CaptureError("frames must be an (F,H,W) stack with width, height >= 2")
-        _check_frame_shape(*frames.shape[1:])
-        if frames.shape[0] < MIN_FRAME_COUNT:
-            raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
+        if frames.ndim != 3:
+            raise CaptureError("frames must be an (F,H,W) stack")
+        # the sizes and rates must make the ScenarioParams they describe
+        count, height, width = frames.shape
+        ScenarioParams(width, height, count, self.frame_rate, self.sample_rate)
         if depths.dtype != np.float32:
             raise CaptureError("depths must be float32")
         if depths.shape != (1, *frames.shape[1:]):
@@ -146,9 +131,6 @@ class SceneCapture:
             raise CaptureError("temps must be finite")
         if lo < -40.0 or hi > 150.0:
             raise CaptureError("temps must lie within [-40, 150] C")
-        if not _is_int(self.sample_rate) or self.sample_rate <= 0:
-            raise CaptureError("sample_rate must be a positive integer")
-        _check_frame_span(frames.shape[0], self.sample_rate)
         if samples.dtype != np.float32 or samples.ndim != 1:
             raise CaptureError("samples must be a 1-D float32 array")
         # min and max propagate NaN, so this also rejects NaN
@@ -163,13 +145,8 @@ class SceneCapture:
         object.__setattr__(self, "thermal", _freeze(temps))
         object.__setattr__(self, "audio", _freeze(samples))
         object.__setattr__(self, "yaw_rates", _freeze(yaw))
-        if not _is_int(self.frame_rate) or self.frame_rate <= 0:
-            raise CaptureError("frame_rate must be a positive integer")
         if yaw.size != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
-        # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
-        if self.sample_rate < self.frame_rate:
-            raise CaptureError("audio sample_rate must be at least frame_rate")
         # audio must cover the frame span: samples/rate >= frames/frame_rate
         if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
             raise CaptureError("audio shorter than the frame span")
@@ -210,15 +187,23 @@ class ScenarioParams:
     sample_rate: int = 8000
 
     def __post_init__(self) -> None:
-        ints = (self.width, self.height, self.frame_count, self.frame_rate, self.sample_rate)
-        if not all(_is_int(v) and v > 0 for v in ints):
-            raise CaptureError("dimensions and rates must be positive integers")
+        if not all(map(_is_int, (self.width, self.height, self.frame_count))):
+            raise CaptureError("width, height and frame_count must be integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")
-        _check_frame_shape(self.height, self.width)
+        if not _flow_is_exact(self.height, self.width):
+            raise CaptureError("frames too large: width * (255 * height)**2 must be below 2**63")
         if self.frame_count < MIN_FRAME_COUNT:
-            raise CaptureError(f"frame_count must be at least {MIN_FRAME_COUNT}")
-        _check_frame_span(self.frame_count, self.sample_rate)
+            raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
+        for name, rate in (("frame_rate", self.frame_rate), ("sample_rate", self.sample_rate)):
+            if not _is_int(rate) or rate <= 0:
+                raise CaptureError(f"{name} must be a positive integer")
+        # window_bounds' last bound fits int64; with the check below it bounds both rates
+        if self.frame_count * self.sample_rate >= 2**63:
+            raise CaptureError("frame_count * sample_rate must be below 2**63")
+        # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
+        if self.sample_rate < self.frame_rate:
+            raise CaptureError("audio sample_rate must be at least frame_rate")
 
 
 # ---------------------------------------------------------------------------

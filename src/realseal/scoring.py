@@ -14,7 +14,7 @@ mean by a veto term so one collapsed dimension cannot be averaged away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,12 +46,11 @@ class DimensionScores:
                 raise ValueError(f"{name} score outside [0, 1]")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "depth": self.depth,
-            "thermal": self.thermal,
-            "audio_sync": self.audio_sync,
-            "motion": self.motion,
-        }
+        return {name: getattr(self, name) for name in _DIMENSIONS}
+
+
+# The four dimension names, in field order; taken once, as fields() is slow.
+_DIMENSIONS = tuple(f.name for f in fields(DimensionScores))
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,8 @@ def score_thermal(temps: np.ndarray) -> float:
 def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
     """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n.
 
-    Exact in int64 while frame_count * sample_rate < 2**63, which every
-    SceneCapture and ScenarioParams satisfies.
+    Exact in int64 while frame_count * sample_rate < 2**63, which
+    ScenarioParams checks, for itself and for every SceneCapture.
     """
     k = np.arange(frame_count + 1, dtype=np.int64)
     return -(-(k * sample_rate) // frame_rate)
@@ -323,7 +322,7 @@ def _score_motion(capture: SceneCapture, shifts: np.ndarray) -> float:
 
 def aggregate(scores: DimensionScores) -> float:
     """Mean times the veto term min(1, min_score/theta)."""
-    s = (scores.depth, scores.thermal, scores.audio_sync, scores.motion)
+    s = scores.as_dict().values()
     mean = sum(0.25 * v for v in s)
     veto = min(1.0, min(s) / _VETO_THRESHOLD)
     return mean * veto

@@ -43,6 +43,8 @@ from .manifest import (
 from .registry import TRUSTED, Registry, lookup
 
 if TYPE_CHECKING:  # scoring imports numpy, which nothing here needs
+    from collections.abc import Callable
+
     from .scoring import DimensionScores
 
 _SIDECAR_MAGIC = b"RSL1"
@@ -162,13 +164,8 @@ def seal(
     location: tuple[int, int] | None = None,
 ) -> SealedBundle:
     """Build the manifest for an image and sign its canonical bytes."""
-    scores = ManifestScores(
-        depth=quantize_score(dimension_scores.depth),
-        thermal=quantize_score(dimension_scores.thermal),
-        audio_sync=quantize_score(dimension_scores.audio_sync),
-        motion=quantize_score(dimension_scores.motion),
-        overall=quantize_score(overall),
-    )
+    quantized = {name: quantize_score(v) for name, v in dimension_scores.as_dict().items()}
+    scores = ManifestScores(**quantized, overall=quantize_score(overall))
     manifest = RealismManifest(
         device_id=identity.device_id,
         timestamp_unix=timestamp_unix,
@@ -245,15 +242,17 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
     """
     # bytes() of bytes is the object itself; a strided memoryview is copied,
     # since hashlib takes only contiguous buffers
-    digest = image_hash(bytes(image_bytes)) if isinstance(image_bytes, BYTES_LIKE) else None
+    digest = ((lambda: image_hash(bytes(image_bytes)))
+              if isinstance(image_bytes, BYTES_LIKE) else None)
     return _verify_image_hash(digest, sidecar_bytes, registry)
 
 
-def _verify_image_hash(image_sha256: str | None, sidecar_bytes: bytes,
+def _verify_image_hash(image_sha256: Callable[[], str] | None, sidecar_bytes: bytes,
                        registry: Registry) -> VerificationReport:
-    """verify() of an image given by its SHA-256 hex digest, so that a caller
-    can hash an image it never holds whole; None stands for an image that is
-    not bytes-like."""
+    """verify() of an image given by a function that returns its SHA-256 hex
+    digest, so that a caller can hash an image it never holds whole. It is
+    called only once the sidecar parses, so a malformed sidecar costs no hash;
+    None stands for an image that is not bytes-like."""
     if not isinstance(registry, Registry):
         raise RegistryError(f"registry must be Registry, not {type(registry).__name__}")
     if image_sha256 is None:
@@ -264,7 +263,7 @@ def _verify_image_hash(image_sha256: str | None, sidecar_bytes: bytes,
     except (SidecarError, ManifestError):
         return _MALFORMED_REPORT
 
-    hash_match = image_sha256 == manifest.image_sha256
+    hash_match = image_sha256() == manifest.image_sha256
     entry = lookup(registry, manifest.device_id)
     if entry is None:
         return VerificationReport(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from realseal import DimensionScores, keygen, parse_manifest, read_capture_dir, seal, write_sidecar
+from realseal import cli
 from realseal.cli import build_parser, main
 from realseal.rng import fill_u64
 
@@ -278,6 +279,21 @@ def test_verify_missing_file_is_usage_error(sealed_setup, tmp_path, capsys):
                      str(sealed_setup["sidecar"]), "--registry",
                      str(sealed_setup["registry"]))
     assert code == 2
+
+
+def test_verify_malformed_sidecar_never_hashes_the_image(sealed_setup, tmp_path, capsys,
+                                                          monkeypatch):
+    hash_file = cli._image_file_hash
+    hashed = []
+    monkeypatch.setattr(cli, "_image_file_hash", lambda f: hashed.append(f) or hash_file(f))
+    truncated = tmp_path / "truncated.rsl"
+    truncated.write_bytes(sealed_setup["sidecar"].read_bytes()[:-1])
+    image = str(sealed_setup["image"])
+    registry = ("--registry", str(sealed_setup["registry"]), "--json")
+    code, out, _ = run(capsys, "verify", image, str(truncated), *registry)
+    assert (code, json.loads(out)["verdict"], hashed) == (1, "malformed", [])
+    code, out, _ = run(capsys, "verify", image, str(sealed_setup["sidecar"]), *registry)
+    assert (code, json.loads(out)["verdict"], len(hashed)) == (0, "authentic", 1)
 
 
 def test_verify_unknown_device(sealed_setup, tmp_path, capsys):

@@ -241,6 +241,21 @@ def test_load_peaks_near_what_the_registry_keeps():
     assert peak - base <= 1.5 * (now - base)
 
 
+def test_refused_layout_is_not_split_into_tokens():
+    # a bad line 1, then 8 MiB of two-character tokens: splitting them would
+    # make ~2.8M strings, ~20x the input; the refusal stays near a few copies
+    data = b"x\n" + b"ab " * (2**23 // 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(RegistryError, match=r"^line 1: expected"):
+            load_registry(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(data)
+
+
 def test_layout_charset_is_the_device_id_charset():
     ascii_chars = [chr(c) for c in range(128)]
     id_chars = [c for c in ascii_chars if c.encode() in realseal.registry._ID_CHARS]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -369,6 +370,59 @@ def test_frames_past_the_flow_bound_are_refused():
     cap = _four_blank_frames(8)
     with pytest.raises(CaptureError, match=r"below 2\*\*63"):
         dataclasses.replace(cap, frames=frames)
+
+
+def _capture_of_sizes(width, height, frame_count, frame_rate, sample_rate) -> SceneCapture:
+    """A capture of these sizes and rates whose arrays are broadcast views of
+    one element each, so that a frame stack of millions of rows takes no memory."""
+    def view(dtype, value, *shape):
+        return np.broadcast_to(np.array(value, dtype=dtype), shape)
+
+    return SceneCapture(
+        frames=view(np.uint8, 0, frame_count, height, width),
+        depth_maps=view(np.float32, 2.0, 1, height, width),
+        thermal=view(np.float32, 20.0, 2, 2),
+        audio=view(np.float32, 0.0, -(-frame_count * sample_rate // frame_rate)),
+        sample_rate=sample_rate,
+        yaw_rates=view(np.float32, 0.0, frame_count),
+        frame_rate=frame_rate,
+        device_id="T-1",
+        timestamp_unix=0,
+    )
+
+
+def _refusal(make) -> str | None:
+    try:
+        make()
+    except CaptureError as exc:
+        return str(exc)
+    return None
+
+
+_H2 = _largest_exact_height(2)
+
+
+# (width, height, frame_count, frame_rate, sample_rate) and the refusal, or None
+@pytest.mark.parametrize("sizes, refusal", [
+    ((1, 2, 4, 8, 8), "width and height must be at least 2"),
+    ((2, 1, 4, 8, 8), "width and height must be at least 2"),
+    ((2, 2, 4, 8, 8), None),
+    ((2, 2, 3, 8, 8), "at least 4 frames"),
+    ((2, _H2, 4, 8, 8), None),
+    ((2, _H2 + 1, 4, 8, 8), r"below 2\*\*63"),
+    ((2, 2, 4, 2**61 - 1, 2**61 - 1), None),
+    ((2, 2, 4, 2**61, 2**61), r"below 2\*\*63"),
+    ((2, 2, 16, 8, 4), "sample_rate must be at least frame_rate"),
+], ids=["width-1", "height-1", "2x2", "3-frames", "flow-h", "flow-h+1", "span-below-2**63",
+        "span-2**63", "audio-slower"])
+def test_params_and_capture_apply_one_size_rule(sizes, refusal):
+    # the same sizes and rates are accepted by both, or refused with one message
+    by_params = _refusal(lambda: ScenarioParams(*sizes))
+    assert by_params == _refusal(lambda: _capture_of_sizes(*sizes))
+    if refusal is None:
+        assert by_params is None
+    else:
+        assert by_params is not None and re.search(refusal, by_params), by_params
 
 
 def test_luma_frame_validation():

@@ -28,7 +28,8 @@ from realseal import (
     verify,
     write_sidecar,
 )
-from realseal.manifest import MAX_MANIFEST_LEN
+from realseal import sealing
+from realseal.manifest import MAX_MANIFEST_LEN, ManifestScores
 from realseal.rng import fill_u64
 from realseal.sealing import (
     SealedBundle,
@@ -189,6 +190,15 @@ def test_seal_quantizes_scores(device_pair):
     assert bundle.manifest.image_sha256 == image_hash(b"img")
 
 
+def test_score_names_line_up_across_the_seal(device_pair):
+    names = [f.name for f in dataclasses.fields(DimensionScores)]
+    assert [f.name for f in dataclasses.fields(ManifestScores)] == [*names, "overall"]
+    dims = DimensionScores(depth=0.1, thermal=0.2, audio_sync=0.3, motion=0.4)
+    scores = seal(b"img", dims, 0.5, device_pair, 0).manifest.scores
+    assert dataclasses.asdict(scores) == {
+        "depth": 100, "thermal": 200, "audio_sync": 300, "motion": 400, "overall": 500}
+
+
 # ---------------------------------------------------------------------------
 # sidecar container
 # ---------------------------------------------------------------------------
@@ -280,6 +290,19 @@ def test_malformed_sidecar_verdict(trusted_registry):
     assert report.verdict == "malformed"
     assert report.manifest is None
     assert not (report.signature_valid or report.image_hash_match or report.device_trusted)
+
+
+def test_malformed_sidecar_is_refused_before_the_image_is_hashed(
+        device_pair, trusted_registry, monkeypatch):
+    bundle = _bundle(device_pair)
+    sidecar = write_sidecar(bundle)
+    hashed = []
+    monkeypatch.setattr(sealing, "image_hash",
+                        lambda data: hashed.append(data) or image_hash(data))
+    assert verify(bundle.image_bytes, sidecar[:-1], trusted_registry).verdict == "malformed"
+    assert hashed == []
+    assert verify(bundle.image_bytes, sidecar, trusted_registry).verdict == "authentic"
+    assert hashed == [bundle.image_bytes]
 
 
 def test_nesting_bomb_sidecar_is_malformed(trusted_registry):
