@@ -7,8 +7,9 @@ in micro-degrees). Strings are written verbatim: MANIFEST.md allows only the
 escapes \\" and \\\\, and the charsets of the string members admit neither a
 double quote nor a backslash, so no escape ever occurs. The parser is
 strict: it accepts canonical bytes only. One grammar match captures every
-field, and re-encoding the record built from them must reproduce the input
-byte for byte. Full grammar: MANIFEST.md.
+field; its integers take only the form %d writes, so a match is already the
+encoding of its captures and only the ranges are left to check. Full
+grammar: MANIFEST.md.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def _is_int(v: object) -> bool:
 def _check_device_id(value: object, error: type[RealSealError]) -> None:
     if not isinstance(value, str) or not DEVICE_ID_RE.match(value):
         raise error("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+
+
+def _check_version(value: object) -> None:
+    if not _is_int(value) or value != MANIFEST_VERSION:
+        raise ManifestError(f"unsupported manifest version {value!r}")
 
 
 def _check_timestamp(value: object, error: type[RealSealError]) -> None:
@@ -111,8 +117,7 @@ class RealismManifest:
     version: int = MANIFEST_VERSION
 
     def __post_init__(self) -> None:
-        if not _is_int(self.version) or self.version != MANIFEST_VERSION:
-            raise ManifestError(f"unsupported manifest version {self.version!r}")
+        _check_version(self.version)
         _check_device_id(self.device_id, ManifestError)
         _check_timestamp(self.timestamp_unix, ManifestError)
         if not isinstance(self.image_sha256, str) or not _HEX64_RE.match(self.image_sha256):
@@ -157,9 +162,10 @@ def canonical_encode(m: RealismManifest) -> bytes:
 # ---------------------------------------------------------------------------
 
 # Every canonical manifest matches this grammar, one capture group per field
-# in key order. An integer field takes any JSON integer, so the records
-# report out-of-range values and the re-encode check refuses -0.
-_INT = "(-?(?:0|[1-9][0-9]*))"
+# in key order. An integer takes only the form %d writes (no -0, leading zero
+# or plus) and the strings are verbatim, so a match is canonical_encode of
+# its captures; the records' checks are left only the ranges.
+_INT = "(0|-?[1-9][0-9]*)"
 _MANIFEST_GRAMMAR = re.compile((
     r'\{"algos":\{"hash":"%s","scoring":"%s","sig":"%s"\},'
     r'"device_id":"(%s)","image_sha256":"(%s)",'
@@ -181,15 +187,18 @@ def parse_manifest(data: bytes) -> RealismManifest:
         raise ManifestError("malformed manifest: non-canonical encoding")
     device_id, image_sha256, lat, lon, *ints = match.groups()
     audio_sync, depth, motion, overall, thermal, timestamp_unix, version = map(int, ints)
-    manifest = RealismManifest(
-        device_id=device_id.decode("ascii"),
-        timestamp_unix=timestamp_unix,
-        scores=ManifestScores(depth=depth, thermal=thermal, audio_sync=audio_sync,
-                              motion=motion, overall=overall),
+    # Built without __init__, as registry._unchecked_entries: of the records'
+    # checks only the range ones run, in the records' order.
+    scores = object.__new__(ManifestScores)
+    scores.__dict__.update(depth=depth, thermal=thermal, audio_sync=audio_sync,
+                           motion=motion, overall=overall)
+    scores.__post_init__()
+    _check_version(version)
+    _check_timestamp(timestamp_unix, ManifestError)
+    manifest = object.__new__(RealismManifest)
+    manifest.__dict__.update(
+        device_id=device_id.decode("ascii"), timestamp_unix=timestamp_unix, scores=scores,
         image_sha256=image_sha256.decode("ascii"),
-        location=None if lat is None else (int(lat), int(lon)),
-        version=version,
-    )
-    if canonical_encode(manifest) != data:
-        raise ManifestError("non-canonical manifest encoding")
+        location=None if lat is None else _checked_location((int(lat), int(lon)), ManifestError),
+        version=version)
     return manifest

@@ -142,10 +142,42 @@ def sign_data(secret_seed: bytes, data: bytes) -> bytes:
     return _key_of_seed(secret_seed).sign(data)
 
 
+# The 14 encodings of the eight points of order dividing 8: seven y values
+# (p, p + 1 and p - 1 among them), each with either sign bit. cryptography
+# accepts them, and under each a signature of R = identity, S = 0 verifies for
+# a share of all messages (every message under the identity), so such a key
+# proves nothing. libsodium refuses the same list.
+_SMALL_ORDER_KEYS = frozenset(map(bytes.fromhex, (
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000080",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000080",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+)))
+
+
 def verify_data(public_key: bytes, data: bytes, signature: bytes) -> bool:
-    """True iff signature is a valid Ed25519 signature of data under the key."""
+    """True iff signature is a valid Ed25519 signature of data under the key.
+
+    False for an argument that is not bytes-like and for a small-order key.
+    """
+    if not (isinstance(public_key, BYTES_LIKE) and isinstance(data, BYTES_LIKE)
+            and isinstance(signature, BYTES_LIKE)):
+        return False
+    public_key = bytes(public_key)
+    if public_key in _SMALL_ORDER_KEYS:
+        return False
     try:
-        Ed25519PublicKey.from_public_bytes(bytes(public_key)).verify(bytes(signature), data)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(bytes(signature), data)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -385,3 +385,43 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
     k = int.from_bytes(_sha512(signature[:32] + public + message), "little") % _L
     return _scalarmult(_B, s) == _edwards_add(r_point, _scalarmult(a_point, k))
+
+
+def _decode_point_mod_p(data: bytes):
+    """The point a lenient decoder reads: y taken mod p, and the sign bit
+    ignored where x = 0. None where y is on no point."""
+    v = int.from_bytes(data, "little")
+    y = (v & ((1 << 255) - 1)) % _P
+    x = _xrecover(y)
+    if (y * y - x * x - 1 - _D * x * x * y * y) % _P != 0:
+        return None
+    return (_P - x) % _P if v >> 255 else x, y
+
+
+def ed25519_small_order_encodings() -> set[bytes]:
+    """Every 32-byte encoding of a point P with [8]P the identity.
+
+    [L]Q of a point Q lies in the torsion subgroup of order 8; the first such
+    point of order 8 generates it. Each of its eight multiples is encoded by
+    its y and, where below 2**255, y + p, with either sign bit; each candidate
+    is decoded again and checked.
+    """
+    y = 2
+    while True:
+        q = _decode_point_mod_p(y.to_bytes(32, "little"))
+        if q is not None:
+            gen = _scalarmult(q, _L)
+            if _scalarmult(gen, 4) != (0, 1):
+                break
+        y += 1
+    encodings = set()
+    for k in range(8):
+        _, y = _scalarmult(gen, k)
+        for v in (y, y + _P):
+            for sign in (0, 1 << 255):
+                if v < 1 << 255:
+                    encodings.add((v | sign).to_bytes(32, "little"))
+    for enc in encodings:
+        point = _decode_point_mod_p(enc)
+        assert point is not None and _scalarmult(point, 8) == (0, 1), enc.hex()
+    return encodings

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from realseal import (
 from realseal.cli import main
 from realseal.manifest import MAX_MANIFEST_LEN
 
-from oracles import parse_manifest_reference
+from oracles import canonical_encode_reference, parse_manifest_reference
 
 ZERO_HASH = "0" * 64
 
@@ -228,6 +230,49 @@ def test_parse_rejects_bad_syntax_and_bad_utf8():
         parse_manifest(b"\xff\xfe" + MINIMAL_BYTES)
     with pytest.raises(ManifestError):
         parse_manifest(MINIMAL_BYTES.replace(b"1700000000", b"01700000000"))
+
+
+_INTEGER_FIELDS = ("audio_sync", "depth", "motion", "overall", "thermal",
+                   "timestamp_unix", "version", "lat_microdeg", "lon_microdeg")
+LOCATED = canonical_encode(dataclasses.replace(MINIMAL, location=(1, -1)))
+
+
+@pytest.mark.parametrize("form", [b"-0", b"00", b"01", b"+1"])
+@pytest.mark.parametrize("field", _INTEGER_FIELDS)
+def test_parse_refuses_a_non_canonical_integer(field, form):
+    data, n = re.subn(rb'("%s":)-?[0-9]+' % field.encode(), rb"\g<1>" + form, LOCATED)
+    assert n == 1
+    with pytest.raises(ManifestError, match="non-canonical"):
+        parse_manifest(data)
+
+
+def _refusal(make):
+    try:
+        return make()
+    except ManifestError as exc:
+        return str(exc)
+
+
+_SCORE_NAMES = tuple(f.name for f in dataclasses.fields(ManifestScores))
+_BOUNDS = [
+    *[(name, v) for name in _SCORE_NAMES for v in (-1, 0, 1000, 1001)],
+    *[("timestamp_unix", v) for v in (-1, 0, 2**63 - 1, 2**63)],
+    *[("location", (lat, 0)) for lat in (-90_000_001, -90_000_000, 90_000_000, 90_000_001)],
+    *[("location", (0, lon)) for lon in (-180_000_001, -180_000_000, 180_000_000, 180_000_001)],
+    *[("version", v) for v in (0, 1, 2)],
+]
+
+
+@pytest.mark.parametrize("name,value", _BOUNDS, ids=[f"{n}={v}" for n, v in _BOUNDS])
+def test_parse_and_records_agree_at_the_bounds(name, value):
+    scores = dict.fromkeys(_SCORE_NAMES, 500)
+    fields = dict(device_id="CAM-001", timestamp_unix=1700000000, image_sha256=ZERO_HASH,
+                  location=None, version=1)
+    (scores if name in scores else fields)[name] = value
+    # the bytes a record of these fields would encode to, in range or not
+    data = canonical_encode_reference(SimpleNamespace(scores=SimpleNamespace(**scores), **fields))
+    built = _refusal(lambda: RealismManifest(scores=ManifestScores(**scores), **fields))
+    assert _refusal(lambda: parse_manifest(data)) == built
 
 
 def test_parse_rejects_non_object():

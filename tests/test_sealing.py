@@ -4,9 +4,12 @@ import os
 import pickle
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from realseal import (
     TRUSTED,
@@ -92,6 +95,49 @@ def test_signatures_agree_with_independent_rfc_transcription():
         assert sig == oracles.ed25519_sign(seed, msg)
         assert oracles.ed25519_verify(pair.public_key, msg, sig)
         assert verify_data(pair.public_key, msg, oracles.ed25519_sign(seed, msg))
+
+
+def test_a_seal_forged_under_a_small_order_key_is_tampered_manifest():
+    # R = identity, S = 0: under a key of order dividing 8 the library accepts
+    # it for about one message in eight or better, so a few timestamps find one
+    keys = oracles.ed25519_small_order_encodings()
+    assert len(keys) == 14
+    forged = (1).to_bytes(32, "little") + bytes(32)
+    image = b"any image"
+    for key in sorted(keys):
+        registry = Registry((RegistryEntry("FORGE-01", TRUSTED, key.hex()),))
+        for timestamp in range(256):
+            manifest = RealismManifest("FORGE-01", timestamp, ManifestScores(*[1000] * 5),
+                                       image_hash(image))
+            try:
+                Ed25519PublicKey.from_public_bytes(key).verify(forged, canonical_encode(manifest))
+                break
+            except InvalidSignature:
+                pass
+        else:
+            pytest.fail(f"no forgery found under {key.hex()}")
+        sidecar = write_sidecar(SealedBundle(image, manifest, forged))
+        assert verify(image, sidecar, registry).verdict == "tampered_manifest", key.hex()
+
+
+@pytest.mark.parametrize("value", ["ab" * 16, None, 5], ids=["str", "None", "int"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["public_key", "data", "signature"])
+def test_verify_data_refuses_what_is_not_bytes(device_pair, position, value):
+    args = [device_pair.public_key, b"data", sign_data(device_pair.secret_seed, b"data")]
+    assert verify_data(*args)
+    args[position] = value
+    assert verify_data(*args) is False
+
+
+def test_verify_data_takes_no_int_key_as_a_length():
+    # at 2**26, bytes(key) would allocate 64 MiB
+    tracemalloc.start()
+    try:
+        assert verify_data(2**26, b"data", bytes(64)) is False
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sha256_published_digests():
