@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .errors import RealSealError, RegistryError
-from .manifest import DEVICE_ID_RE, canonical_encode
+from .manifest import _check_device_id, canonical_encode
 from .registry import load_registry
 from .scenarios import SCENARIO_NAMES
 from .sealing import (
@@ -114,8 +114,7 @@ def _dump_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    if not DEVICE_ID_RE.match(args.device_id):
-        raise UsageError("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+    _check_device_id(args.device_id, UsageError)
     if args.seed is not None:
         try:
             seed = bytes.fromhex(args.seed)

@@ -6,10 +6,12 @@ byte value, no whitespace, integers only (scores in milli-units, coordinates
 in micro-degrees). Strings are written verbatim: MANIFEST.md allows only the
 escapes \\" and \\\\, and the charsets of the string members admit neither a
 double quote nor a backslash, so no escape ever occurs. The parser is
-strict: it accepts canonical bytes only. One grammar match captures every
-field; its integers take only the form %d writes, so a match is already the
-encoding of its captures and only the ranges are left to check. Full
-grammar: MANIFEST.md.
+strict: it accepts canonical bytes only. Its grammar is the encoder's own
+%-template, escaped, with a capture group in place of each placeholder, and
+its length cap is that template filled with every field at its longest. One
+grammar match captures every field; its integers take only the form %d
+writes, so a match is already the encoding of its captures and only the
+ranges are left to check. Full grammar: MANIFEST.md.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ ALGO_SIG = "ed25519"
 ALGO_SCORING = "realseal-v1"
 
 # The charsets of the string members, shared by the record checks, the
-# manifest grammar and the registry grammar (a public key is 64 lowercase hex
-# chars too). \Z, not $: $ also matches before a trailing "\n".
-_DEVICE_ID = "[A-Za-z0-9_-]{1,64}"
-_HEX64 = "[0-9a-f]{64}"
+# manifest grammar and the registry's grammar and byte tables (a public key is
+# 64 lowercase hex chars too). \Z, not $: $ also matches before a trailing "\n".
+_ID_CLASS = "[A-Za-z0-9_-]"
+_HEX_CLASS = "[0-9a-f]"
+_ID_MAX = 64
+_DEVICE_ID = f"{_ID_CLASS}{{1,{_ID_MAX}}}"
+_HEX64 = f"{_HEX_CLASS}{{64}}"
 DEVICE_ID_RE = re.compile(rf"^{_DEVICE_ID}\Z")
 _HEX64_RE = re.compile(rf"^{_HEX64}\Z")
 
@@ -38,20 +43,14 @@ LAT_MICRODEG_MAX = 90_000_000
 LON_MICRODEG_MAX = 180_000_000
 _TIMESTAMP_MAX = 2**63 - 1
 
-# Length of the longest canonical manifest: a 64-char device id, timestamp
-# 2**63 - 1, location (-90000000, -180000000) and every score at 1000. Longer
-# input cannot be canonical, so the parser refuses it first; the cap also
-# keeps every integer it captures far below int()'s digit limit.
-MAX_MANIFEST_LEN = 428
-
 
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_device_id(value: object, error: type[RealSealError]) -> None:
+def _check_device_id(value: object, error: type[Exception]) -> None:
     if not isinstance(value, str) or not DEVICE_ID_RE.match(value):
-        raise error("device_id must be 1-64 chars of [A-Za-z0-9_-]")
+        raise error(f"device_id must be 1-{_ID_MAX} chars of {_ID_CLASS}")
 
 
 def _check_version(value: object) -> None:
@@ -145,6 +144,13 @@ _ENCODING = ('{"algos":{"hash":"%s","scoring":"%s","sig":"%s"},' % (
     '"timestamp_unix":%d,"version":%d}'))
 _LOCATION = '"location":{"lat_microdeg":%d,"lon_microdeg":%d},'
 
+# Length of the longest canonical manifest, every field at its longest. Longer
+# input cannot be canonical, so the parser refuses it first; the cap also
+# keeps every integer it captures far below int()'s digit limit.
+MAX_MANIFEST_LEN = len(_ENCODING % (
+    "C" * _ID_MAX, "0" * 64, _LOCATION % (-LAT_MICRODEG_MAX, -LON_MICRODEG_MAX),
+    *[1000] * 5, _TIMESTAMP_MAX, MANIFEST_VERSION))
+
 
 def canonical_encode(m: RealismManifest) -> bytes:
     """Unique byte serialization of a valid manifest (the signing payload)."""
@@ -161,20 +167,19 @@ def canonical_encode(m: RealismManifest) -> bytes:
 # Strict parsing
 # ---------------------------------------------------------------------------
 
-# Every canonical manifest matches this grammar, one capture group per field
-# in key order. An integer takes only the form %d writes (no -0, leading zero
-# or plus) and the strings are verbatim, so a match is canonical_encode of
-# its captures; the records' checks are left only the ranges.
+def _pattern(template: str, *groups: str) -> str:
+    """The regex of a %-template: its text escaped, each placeholder one of groups."""
+    return re.escape(template).replace("%d", "%s") % groups
+
+
+# The encoding's template with one capture group per field, in key order. An
+# integer takes only the form %d writes (no -0, leading zero or plus) and the
+# strings are verbatim, so a match is canonical_encode of its captures; the
+# records' checks are left only the ranges.
 _INT = "(0|-?[1-9][0-9]*)"
-_MANIFEST_GRAMMAR = re.compile((
-    r'\{"algos":\{"hash":"%s","scoring":"%s","sig":"%s"\},'
-    r'"device_id":"(%s)","image_sha256":"(%s)",'
-    r'(?:"location":\{"lat_microdeg":%s,"lon_microdeg":%s\},)?'
-    r'"scores":\{"audio_sync":%s,"depth":%s,"motion":%s,"overall":%s,"thermal":%s\},'
-    r'"timestamp_unix":%s,"version":%s\}' % (
-        re.escape(ALGO_HASH), re.escape(ALGO_SCORING), re.escape(ALGO_SIG),
-        _DEVICE_ID, _HEX64, *[_INT] * 9)
-).encode("ascii"))
+_MANIFEST_GRAMMAR = re.compile(_pattern(
+    _ENCODING, f"({_DEVICE_ID})", f"({_HEX64})", f"(?:{_pattern(_LOCATION, _INT, _INT)})?",
+    *[_INT] * 7).encode("ascii"))
 
 
 def parse_manifest(data: bytes) -> RealismManifest:

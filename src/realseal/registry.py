@@ -36,25 +36,27 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import RegistryError
-from .manifest import _DEVICE_ID, _HEX64, _HEX64_RE, DEVICE_ID_RE, _require_bytes
+from .manifest import (_DEVICE_ID, _HEX64, _HEX64_RE, _HEX_CLASS, _ID_CLASS, _ID_MAX,
+                       DEVICE_ID_RE, _require_bytes)
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
+# One string object per status, shared by every loaded entry.
+_STATUSES = {TRUSTED: TRUSTED, REVOKED: REVOKED}
 
 # Every line is an entry, a '#' comment or blank; the last may lack its LF.
 # The three alternatives start with different characters, so the match never
 # backtracks more than one line and fails in time linear in the file.
-_ENTRY = rf"{_DEVICE_ID} (?:{TRUSTED}|{REVOKED}) {_HEX64}"
+_ENTRY = rf"{_DEVICE_ID} (?:{'|'.join(_STATUSES)}) {_HEX64}"
 # Left a string, so importing the module compiles nothing: only the error path needs it.
 _LINES = rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*"
-# _DEVICE_ID's charset and longest id; the statuses and hex keys are drawn from it too.
-_ID_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
-_ID_MAX = 64
-_HEX_CHARS = b"0123456789abcdef"
+# The ASCII characters of _ID_CLASS and _HEX_CLASS, the byte tables that
+# bytes.translate deletes; the statuses and hex keys are drawn from the id
+# charset too.
+_ID_CHARS, _HEX_CHARS = (b"".join(re.findall(char_class.encode(), bytes(range(128))))
+                         for char_class in (_ID_CLASS, _HEX_CLASS))
 # Keys joined per hex check: ~256 KiB, so no temporary is the size of the file.
 _KEY_CHUNK = 4096
-# One string object per status, shared by every loaded entry.
-_STATUSES = {TRUSTED: TRUSTED, REVOKED: REVOKED}
 
 
 # slots: no __dict__ per entry, ~45 B less each in a 10^5-device registry
@@ -71,7 +73,7 @@ class RegistryEntry:
                 raise RegistryError(f"{name} must be str, not {type(value).__name__}")
         if not DEVICE_ID_RE.match(self.device_id):
             raise RegistryError(f"bad device id {self.device_id!r}")
-        if self.status not in (TRUSTED, REVOKED):
+        if self.status not in _STATUSES:
             raise RegistryError(f"bad status {self.status!r}")
         if not _HEX64_RE.match(self.public_key_hex):
             raise RegistryError("public key must be 64 lowercase hex chars")
@@ -223,7 +225,8 @@ def _first_error(text: str) -> RegistryError:
         for lineno, line in enumerate(lines, start=1):
             if not line or line[0] == "#":
                 continue
-            fields = line.split(" ")
+            # at most four fields: a refused line's token count has no bound
+            fields = line.split(" ", 3)
             if lineno == len(lines):
                 if len(fields) != 3:
                     raise RegistryError("expected 'device_id status pubkey_hex'")

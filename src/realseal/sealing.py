@@ -6,9 +6,9 @@ bytes. The signature covers the manifest only; the image is bound through
 its digest field, so manifest integrity remains checkable without the image.
 
 Trust boundary: key generation, key-file I/O and a DeviceKeyPair are the
-only holders of the 32-byte secret seed. A pair checks its device id and
-seed and builds its private-key object from the seed once, when it is made,
-refuses a public key that is not that object's, and seal() signs with that
+only holders of the 32-byte secret seed. A pair is made from its device id
+and seed alone: it checks both, builds its private-key object from the seed
+once, takes its public key from that object, and seal() signs with that
 object; neither the seed nor the key object appears in a pair's repr or
 takes part in its equality, and nothing here ever logs or prints them.
 """
@@ -62,16 +62,11 @@ VERDICT_UNKNOWN_DEVICE = "unknown_device"
 VERDICT_MALFORMED = "malformed"
 
 
-# keygen's public_key: the pair takes it from the key object it builds, so
-# the seed is derived once per pair
-_FROM_SEED = object()
-
-
 @dataclass(frozen=True)
 class DeviceKeyPair:
     device_id: str
     secret_seed: bytes
-    public_key: bytes
+    public_key: bytes = field(init=False)
     # built once from secret_seed, so seal() does not re-derive it per call
     _private_key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
@@ -79,12 +74,7 @@ class DeviceKeyPair:
         _check_device_id(self.device_id, RealSealError)
         key = _key_of_seed(self.secret_seed)
         object.__setattr__(self, "secret_seed", bytes(self.secret_seed))
-        public = key.public_key().public_bytes_raw()
-        if self.public_key is _FROM_SEED:
-            object.__setattr__(self, "public_key", public)
-        elif self.public_key != public:
-            # its seals would verify as tampered_manifest under this key
-            raise RealSealError("public key does not match the seed")
+        object.__setattr__(self, "public_key", key.public_key().public_bytes_raw())
         object.__setattr__(self, "_private_key", key)
 
     def __repr__(self) -> str:  # never expose the seed in logs/tracebacks
@@ -92,7 +82,7 @@ class DeviceKeyPair:
 
     def __reduce__(self):
         # the key object does not pickle; a copy rebuilds it from the seed
-        return DeviceKeyPair, (self.device_id, self.secret_seed, self.public_key)
+        return DeviceKeyPair, (self.device_id, self.secret_seed)
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def _key_of_seed(seed: object) -> Ed25519PrivateKey:
 
 def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
     """Deterministic Ed25519 keypair from a 32-octet seed."""
-    return DeviceKeyPair(device_id=device_id, secret_seed=seed, public_key=_FROM_SEED)
+    return DeviceKeyPair(device_id, seed)
 
 
 def sign_data(secret_seed: bytes, data: bytes) -> bytes:

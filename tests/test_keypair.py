@@ -13,17 +13,11 @@ import oracles
 OTHER_SEED = bytes(range(1, 33))
 
 
-def test_a_public_key_of_another_seed_is_refused(device_pair):
-    other = oracles.ed25519_public_key(OTHER_SEED)
-    for wrong in (other, b"", bytes(32), device_pair.public_key.hex()):
-        with pytest.raises(RealSealError, match="public key does not match the seed"):
-            DeviceKeyPair(device_pair.device_id, device_pair.secret_seed, wrong)
-
-
-def test_a_public_key_in_another_bytes_form_is_kept(device_pair):
-    pair = DeviceKeyPair(device_pair.device_id, device_pair.secret_seed,
-                         bytearray(device_pair.public_key))
-    assert pair == device_pair
+def test_a_pair_is_made_from_its_seed_alone():
+    for seed in (bytes(32), OTHER_SEED, bytes(range(32, 64)), b"\xff" * 32):
+        assert DeviceKeyPair("CAM-001", seed).public_key == oracles.ed25519_public_key(seed)
+        with pytest.raises(TypeError):
+            DeviceKeyPair("CAM-001", seed, oracles.ed25519_public_key(seed))
 
 
 def test_keygen_derives_the_seed_once(monkeypatch):
@@ -47,7 +41,7 @@ def test_keygen_derives_the_seed_once(monkeypatch):
                          ids=["space", "empty", "65-chars", "int", "None"])
 def test_a_pair_refuses_a_bad_device_id(device_pair, device_id):
     with pytest.raises(RealSealError, match="device_id must be 1-64 chars"):
-        DeviceKeyPair(device_id, device_pair.secret_seed, device_pair.public_key)
+        DeviceKeyPair(device_id, device_pair.secret_seed)
     with pytest.raises(RealSealError, match="device_id must be 1-64 chars"):
         dataclasses.replace(device_pair, device_id=device_id)
 
@@ -56,7 +50,7 @@ def test_a_pair_refuses_a_bad_device_id(device_pair, device_id):
                          ids=["str", "None", "memoryview", "list"])
 def test_a_seed_that_is_not_bytes_is_refused(device_pair, seed):
     with pytest.raises(RealSealError, match="seed must be exactly 32 octets"):
-        DeviceKeyPair(device_pair.device_id, seed, device_pair.public_key)
+        DeviceKeyPair(device_pair.device_id, seed)
     with pytest.raises(RealSealError, match="seed must be exactly 32 octets"):
         keygen(device_pair.device_id, seed)
     with pytest.raises(RealSealError, match="seed must be exactly 32 octets"):

@@ -192,7 +192,7 @@ def test_keypair_copies_seal_like_the_original(device_pair, clone):
 
 def test_keypair_with_a_short_seed_is_refused(device_pair):
     with pytest.raises(RealSealError, match="32 octets"):
-        DeviceKeyPair(device_pair.device_id, bytes(31), device_pair.public_key)
+        DeviceKeyPair(device_pair.device_id, bytes(31))
 
 
 # ---------------------------------------------------------------------------
