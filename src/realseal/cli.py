@@ -29,6 +29,7 @@ from .sealing import (
     _MAX_SIDECAR_LEN,
     SEED_LEN,
     VERDICT_AUTHENTIC,
+    _seed_of_hex,
     _verify_image_hash,
     keygen,
     load_keypair_file,
@@ -116,12 +117,7 @@ def _dump_json(obj) -> str:
 def _cmd_keygen(args: argparse.Namespace) -> int:
     _check_device_id(args.device_id, UsageError)
     if args.seed is not None:
-        try:
-            seed = bytes.fromhex(args.seed)
-        except ValueError:
-            raise UsageError("--seed must be 64 hex chars") from None
-        if len(seed) != SEED_LEN:
-            raise UsageError("--seed must be 64 hex chars")
+        seed = _seed_of_hex(args.seed, "--seed", UsageError)
     else:
         seed = os.urandom(SEED_LEN)
     pair = keygen(args.device_id, seed)

@@ -29,8 +29,8 @@ ALGO_SIG = "ed25519"
 ALGO_SCORING = "realseal-v1"
 
 # The charsets of the string members, shared by the record checks, the
-# manifest grammar and the registry's grammar and byte tables (a public key is
-# 64 lowercase hex chars too). \Z, not $: $ also matches before a trailing "\n".
+# manifest grammar and the registry's byte tables (a public key is 64
+# lowercase hex chars too). \Z, not $: $ also matches before a trailing "\n".
 _ID_CLASS = "[A-Za-z0-9_-]"
 _HEX_CLASS = "[0-9a-f]"
 _ID_MAX = 64
@@ -75,16 +75,24 @@ def _checked_location(value: object, error: type[RealSealError]) -> tuple[int, i
     return lat, lon
 
 
-# The only input types the parsers take. bytes() of any other value is no
-# parse: it takes an int as a length and raises TypeError for a str or None.
-BYTES_LIKE = (bytes, bytearray, memoryview)
+def _as_bytes(data: object) -> bytes | None:
+    """bytes(data) for bytes, a bytearray or an open memoryview, the only inputs the
+    parsers and verify() take; else None. bytes() takes an int as a length, and
+    raises ValueError for a released memoryview."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        try:
+            return bytes(data)
+        except ValueError:
+            pass
+    return None
 
 
 def _require_bytes(data: object, error: type[RealSealError], what: str) -> bytes:
     """bytes(data), or error naming the type of a data that is not bytes-like."""
-    if not isinstance(data, BYTES_LIKE):
-        raise error(f"{what} must be bytes, bytearray or memoryview, not {type(data).__name__}")
-    return bytes(data)
+    if (raw := _as_bytes(data)) is None:
+        raise error(f"{what} must be bytes, bytearray or an open memoryview, "
+                    f"not {type(data).__name__}")
+    return raw
 
 
 @dataclass(frozen=True)

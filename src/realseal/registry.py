@@ -15,15 +15,15 @@ a final LF only where the file has one; any other byte, non-ASCII ones too,
 is kept and refuses the file. The two spaces fix three slots on each line, so
 when str.split() gives three fields per line, no slot is empty. Then each
 column is checked: ids are at most 64 characters, keys are 64 lowercase hex
-(over chunks of joined keys) and each status is trusted or revoked. This
-accepts exactly the files whose every line is an entry, a comment or blank.
-The entries are then built without checking each field again, with the
-cyclic garbage collector paused. By then the decoded text and its split list
-are gone, and no copy of the file is held: the load peaks near the size of
-the registry it returns. A file that does not check, or that repeats an id,
-is decoded again and the line grammar locates its first error: the grammar
-stops at the first line it refuses, and only that line gets the field checks
-that name what is wrong with it.
+(over chunks of joined keys) and none is a small-order point, and each
+status is trusted or revoked. This accepts exactly the files whose every
+line is an entry, a comment or blank. The entries are then built without
+checking each field again, with the cyclic garbage collector paused. By then
+the decoded text and its split list are gone, and no copy of the file is
+held: the load peaks near the size of the registry it returns. A file that
+does not check, or that repeats an id, is decoded again and walked line by
+line: each entry line gets RegistryEntry's own field checks, then the check
+for a repeated id, and the first that fails is named with its line number.
 """
 
 from __future__ import annotations
@@ -36,20 +36,36 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import RegistryError
-from .manifest import (_DEVICE_ID, _HEX64, _HEX64_RE, _HEX_CLASS, _ID_CLASS, _ID_MAX,
-                       DEVICE_ID_RE, _require_bytes)
+from .manifest import _HEX64_RE, _HEX_CLASS, _ID_CLASS, _ID_MAX, DEVICE_ID_RE, _require_bytes
 
 TRUSTED = "trusted"
 REVOKED = "revoked"
 # One string object per status, shared by every loaded entry.
 _STATUSES = {TRUSTED: TRUSTED, REVOKED: REVOKED}
 
-# Every line is an entry, a '#' comment or blank; the last may lack its LF.
-# The three alternatives start with different characters, so the match never
-# backtracks more than one line and fails in time linear in the file.
-_ENTRY = rf"{_DEVICE_ID} (?:{'|'.join(_STATUSES)}) {_HEX64}"
-# Left a string, so importing the module compiles nothing: only the error path needs it.
-_LINES = rf"(?:{_ENTRY}\n|#[^\n]*\n|\n)*"
+# The 14 encodings of the eight points of order dividing 8: seven y values
+# (p, p + 1 and p - 1 among them), each with either sign bit. cryptography
+# accepts them, and under each a signature of R = identity, S = 0 verifies for
+# a share of all messages (every message under the identity), so such a key
+# proves nothing, and no seal under it could ever verify. libsodium refuses
+# the same list; so do RegistryEntry, load_registry and sealing.verify_data.
+_SMALL_ORDER_HEX = frozenset((
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000080",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000080",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+))
+_SMALL_ORDER_KEYS = frozenset(map(bytes.fromhex, _SMALL_ORDER_HEX))
 # The ASCII characters of _ID_CLASS and _HEX_CLASS, the byte tables that
 # bytes.translate deletes; the statuses and hex keys are drawn from the id
 # charset too.
@@ -77,6 +93,8 @@ class RegistryEntry:
             raise RegistryError(f"bad status {self.status!r}")
         if not _HEX64_RE.match(self.public_key_hex):
             raise RegistryError("public key must be 64 lowercase hex chars")
+        if self.public_key_hex in _SMALL_ORDER_HEX:
+            raise RegistryError("public key is a small-order point")
 
 
 def _unchecked_entries(ids: list[str], statuses: list[str],
@@ -193,6 +211,8 @@ def _checked_columns(data: bytes) -> tuple[list[str], list[str], list[str]] | No
     for i in range(0, len(keys), _KEY_CHUNK):
         if "".join(keys[i:i + _KEY_CHUNK]).encode("ascii").translate(None, _HEX_CHARS):
             return None
+    if not _SMALL_ORDER_HEX.isdisjoint(keys):
+        return None
     return ids, statuses, keys
 
 
@@ -210,32 +230,24 @@ def _rows(layout: bytes, final_lf: bool) -> int:
 def _first_error(text: str) -> RegistryError:
     """The first error of a file load_registry() refuses, with its line number.
 
-    _LINES, matched as a prefix, ends where the first line it refuses starts.
-    The lines before it are well formed, so they are only scanned for a
-    repeated id. Only the refused line gets the field checks; it may also be
-    a last line without LF that the grammar's tail accepts.
+    Each entry line, split at most three times (a refused line's token count
+    has no bound), gets RegistryEntry's own field checks and then the check
+    for a repeated id.
     """
-    end = re.match(_LINES, text).end()
-    stop = text.find("\n", end)
-    # the prefix ends in LF (or is empty), so its last item stands for the refused line
-    lines = text[:end].split("\n")
-    lines[-1] = text[end:] if stop < 0 else text[end:stop]
     seen = set()
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            if not line or line[0] == "#":
-                continue
-            # at most four fields: a refused line's token count has no bound
-            fields = line.split(" ", 3)
-            if lineno == len(lines):
-                if len(fields) != 3:
-                    raise RegistryError("expected 'device_id status pubkey_hex'")
-                RegistryEntry(*fields)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line[0] == "#":
+            continue
+        fields = line.split(" ", 3)
+        try:
+            if len(fields) != 3:
+                raise RegistryError("expected 'device_id status pubkey_hex'")
+            RegistryEntry(*fields)
             if fields[0] in seen:
                 raise RegistryError(f"duplicate device id {fields[0]!r}")
-            seen.add(fields[0])
-    except RegistryError as exc:
-        return RegistryError(f"line {lineno}: {exc}")
+        except RegistryError as exc:
+            return RegistryError(f"line {lineno}: {exc}")
+        seen.add(fields[0])
 
 
 def save_registry(registry: Registry) -> bytes:

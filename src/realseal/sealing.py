@@ -30,17 +30,17 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .errors import ManifestError, RealSealError, RegistryError, SidecarError
 from .manifest import (
-    BYTES_LIKE,
     MAX_MANIFEST_LEN,
     ManifestScores,
     RealismManifest,
+    _as_bytes,
     _check_device_id,
     _require_bytes,
     canonical_encode,
     parse_manifest,
     quantize_score,
 )
-from .registry import TRUSTED, Registry, lookup
+from .registry import _SMALL_ORDER_KEYS, TRUSTED, Registry, lookup
 
 if TYPE_CHECKING:  # scoring imports numpy, which nothing here needs
     from collections.abc import Callable
@@ -53,6 +53,7 @@ SEED_LEN = 32
 # magic, manifest length, the longest manifest, signature length, signature
 _MAX_SIDECAR_LEN = 8 + MAX_MANIFEST_LEN + 4 + SIGNATURE_LEN
 _MAX_KEY_FILE_LEN = 1024
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 VERDICT_AUTHENTIC = "authentic"
 VERDICT_TAMPERED_IMAGE = "tampered_image"
@@ -115,6 +116,13 @@ def image_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _seed_of_hex(text: str, what: str, error: type[Exception]) -> bytes:
+    """The seed that text spells as exactly 64 hex digits, with nothing between them."""
+    if len(text) != 2 * SEED_LEN or not _HEX_DIGITS.issuperset(text):
+        raise error(f"{what} must be {2 * SEED_LEN} hex chars")
+    return bytes.fromhex(text)
+
+
 def _key_of_seed(seed: object) -> Ed25519PrivateKey:
     """The private key of a 32-octet bytes or bytearray seed."""
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
@@ -132,42 +140,16 @@ def sign_data(secret_seed: bytes, data: bytes) -> bytes:
     return _key_of_seed(secret_seed).sign(data)
 
 
-# The 14 encodings of the eight points of order dividing 8: seven y values
-# (p, p + 1 and p - 1 among them), each with either sign bit. cryptography
-# accepts them, and under each a signature of R = identity, S = 0 verifies for
-# a share of all messages (every message under the identity), so such a key
-# proves nothing. libsodium refuses the same list.
-_SMALL_ORDER_KEYS = frozenset(map(bytes.fromhex, (
-    "0000000000000000000000000000000000000000000000000000000000000000",
-    "0000000000000000000000000000000000000000000000000000000000000080",
-    "0100000000000000000000000000000000000000000000000000000000000000",
-    "0100000000000000000000000000000000000000000000000000000000000080",
-    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
-    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
-    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
-    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
-    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
-    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
-    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
-    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-)))
-
-
 def verify_data(public_key: bytes, data: bytes, signature: bytes) -> bool:
     """True iff signature is a valid Ed25519 signature of data under the key.
 
     False for an argument that is not bytes-like and for a small-order key.
     """
-    if not (isinstance(public_key, BYTES_LIKE) and isinstance(data, BYTES_LIKE)
-            and isinstance(signature, BYTES_LIKE)):
-        return False
-    public_key = bytes(public_key)
-    if public_key in _SMALL_ORDER_KEYS:
+    public_key, data, signature = map(_as_bytes, (public_key, data, signature))
+    if None in (public_key, data, signature) or public_key in _SMALL_ORDER_KEYS:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(bytes(signature), data)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -258,15 +240,14 @@ def verify(image_bytes: bytes, sidecar_bytes: bytes, registry: Registry) -> Veri
     Never raises for any image or sidecar: every failure mode of those maps
     to a verdict, with precedence malformed > unknown_device >
     tampered_manifest > tampered_image > untrusted_device > authentic. An
-    image or sidecar that is not bytes, bytearray or memoryview is
+    image or sidecar that is not bytes, bytearray or an open memoryview is
     malformed. A registry that is not a Registry is the caller's error and
     raises RegistryError.
     """
-    # bytes() of bytes is the object itself; a strided memoryview is copied,
-    # since hashlib takes only contiguous buffers
-    digest = ((lambda: image_hash(bytes(image_bytes)))
-              if isinstance(image_bytes, BYTES_LIKE) else None)
-    return _verify_image_hash(digest, sidecar_bytes, registry)
+    # a bytes image is not copied: bytes() of bytes is the object itself
+    image = _as_bytes(image_bytes)
+    return _verify_image_hash(None if image is None else lambda: image_hash(image),
+                              sidecar_bytes, registry)
 
 
 def _verify_image_hash(image_sha256: Callable[[], str] | None, sidecar_bytes: bytes,
@@ -337,9 +318,10 @@ def write_keypair_files(pair: DeviceKeyPair, directory: str | Path,
 def load_keypair_file(path: str | Path) -> DeviceKeyPair:
     """Load a secret key file; the device id is the file stem.
 
-    A key file is 64 hex chars and an LF; whitespace around the hex is
-    allowed, up to _MAX_KEY_FILE_LEN bytes in all. Only that many bytes and
-    one more are read, so a longer file is refused without being read whole.
+    A key file is 64 hex chars and an LF; whitespace around the hex (not
+    between its digits) is allowed, up to _MAX_KEY_FILE_LEN bytes in all.
+    Only that many bytes and one more are read, so a longer file is refused
+    without being read whole.
     """
     p = Path(path)
     try:
@@ -350,10 +332,4 @@ def load_keypair_file(path: str | Path) -> DeviceKeyPair:
         raise RealSealError(f"cannot read secret key file {p}: {exc}") from None
     if len(data) > _MAX_KEY_FILE_LEN:
         raise RealSealError(f"secret key file {p} is longer than {_MAX_KEY_FILE_LEN} bytes")
-    try:
-        seed = bytes.fromhex(text)
-    except ValueError:
-        raise RealSealError(f"secret key file {p} is not valid hex") from None
-    if len(seed) != SEED_LEN:
-        raise RealSealError(f"secret key file {p} must hold 32 octets of hex")
-    return keygen(p.stem, seed)
+    return keygen(p.stem, _seed_of_hex(text, f"secret key file {p}", RealSealError))

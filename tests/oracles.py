@@ -7,8 +7,8 @@ of uint16-block sums of a + b - 2 min(a, b), lag search uses np.corrcoef and sor
 selection instead of streaming preference order, the manifest parse and
 encode go through a general JSON decoder and encoder instead of the
 canonical grammar and the library's one template, the registry
-load checks each line's fields on its own instead of matching the whole file
-against one grammar, the capture file is packed value by value with struct
+load checks each line's fields on its own instead of checking the whole file
+column by column, the capture file is packed value by value with struct
 instead of from array buffers, the scene's yaw rates, texture and audio
 carrier are built by the step-by-step recurrence, np.roll copies and a
 float64 carrier instead of a cumulative sum, padded views and float32, and
@@ -18,6 +18,7 @@ binding to a crypto library.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -237,12 +238,27 @@ def parse_manifest_reference(data: bytes) -> RealismManifest | None:
     return m if canonical_encode_reference(m) == data else None
 
 
+def released_memoryview() -> memoryview:
+    """A memoryview that is released: bytes() of it raises ValueError."""
+    view = memoryview(b"released")
+    view.release()
+    return view
+
+
 # ---------------------------------------------------------------------------
 # Registry load, one line and one field at a time
 # ---------------------------------------------------------------------------
 
+# A file whose every line is an entry, a '#' comment or blank; the last may
+# lack its LF. It knows nothing of repeated ids or small-order keys.
+_REGISTRY_ENTRY = r"[A-Za-z0-9_-]{1,64} (?:trusted|revoked) [0-9a-f]{64}"
+REGISTRY_GRAMMAR = re.compile(
+    rf"(?:{_REGISTRY_ENTRY}\n|#[^\n]*\n|\n)*(?:{_REGISTRY_ENTRY}|#[^\n]*)?")
+
+
 def load_registry_reference(data: bytes) -> tuple[RegistryEntry, ...]:
     """The entries of a registry file, or RegistryError with the library's text."""
+    small_order = ed25519_small_order_encodings()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -261,6 +277,8 @@ def load_registry_reference(data: bytes) -> tuple[RegistryEntry, ...]:
             error = f"bad status {fields[1]!r}"
         elif not re.fullmatch(r"[0-9a-f]{64}", fields[2]):
             error = "public key must be 64 lowercase hex chars"
+        elif bytes.fromhex(fields[2]) in small_order:
+            error = "public key is a small-order point"
         elif fields[0] in seen:
             error = f"duplicate device id {fields[0]!r}"
         else:
@@ -387,6 +405,34 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     return _scalarmult(_B, s) == _edwards_add(r_point, _scalarmult(a_point, k))
 
 
+def ed25519_edge_signatures(seed: bytes, message: bytes) -> dict[str, bytes]:
+    """Signatures of message under seed's key at edges where Ed25519 verifiers
+    disagree (Chalkias, Garillot and Nikolaenko, "Taming the many EdDSAs",
+    SSR 2020), by name:
+
+    - identity-r: R the identity and S = k·a, so [S]B = R + [k]A holds
+    - non-canonical-r: the same with R encoded as y = p + 1, which a decoder
+      that reads y mod p takes for the identity
+    - s-plus-l: a valid signature with L added to S
+    - s-max: a valid signature's R with S = 2**256 - 1
+    """
+    a, _ = _expand_seed(seed)
+    public = _encode_point(_scalarmult(_B, a))
+
+    def under(r_enc: bytes) -> bytes:
+        k = int.from_bytes(_sha512(r_enc + public + message), "little") % _L
+        return r_enc + (k * a % _L).to_bytes(32, "little")
+
+    good = ed25519_sign(seed, message)
+    s = int.from_bytes(good[32:], "little")
+    return {
+        "identity-r": under(_encode_point((0, 1))),
+        "non-canonical-r": under((_P + 1).to_bytes(32, "little")),
+        "s-plus-l": good[:32] + (s + _L).to_bytes(32, "little"),
+        "s-max": good[:32] + b"\xff" * 32,
+    }
+
+
 def _decode_point_mod_p(data: bytes):
     """The point a lenient decoder reads: y taken mod p, and the sign bit
     ignored where x = 0. None where y is on no point."""
@@ -398,7 +444,8 @@ def _decode_point_mod_p(data: bytes):
     return (_P - x) % _P if v >> 255 else x, y
 
 
-def ed25519_small_order_encodings() -> set[bytes]:
+@functools.cache
+def ed25519_small_order_encodings() -> frozenset[bytes]:
     """Every 32-byte encoding of a point P with [8]P the identity.
 
     [L]Q of a point Q lies in the torsion subgroup of order 8; the first such
@@ -424,4 +471,4 @@ def ed25519_small_order_encodings() -> set[bytes]:
     for enc in encodings:
         point = _decode_point_mod_p(enc)
         assert point is not None and _scalarmult(point, 8) == (0, 1), enc.hex()
-    return encodings
+    return frozenset(encodings)

@@ -96,7 +96,11 @@ def test_keygen_bad_device_id_is_usage_error(tmp_path, capsys):
     (["C" * 65, "--seed", SEED_HEX], "device_id must be 1-64 chars of [A-Za-z0-9_-]"),
     (["CAM-001", "--seed", "g" * 64], "--seed must be 64 hex chars"),
     (["CAM-001", "--seed", SEED_HEX[:62]], "--seed must be 64 hex chars"),
-], ids=["empty-id", "id-with-space", "65-char-id", "non-hex-seed", "62-hex-seed"])
+    (["CAM-001", "--seed", " ".join(SEED_HEX[i:i + 2] for i in range(0, 64, 2))],
+     "--seed must be 64 hex chars"),
+    (["CAM-001", "--seed", SEED_HEX[:30] + "a b " + SEED_HEX[34:]], "--seed must be 64 hex chars"),
+], ids=["empty-id", "id-with-space", "65-char-id", "non-hex-seed", "62-hex-seed",
+        "spaced-hex-seed", "64-chars-with-spaces-seed"])
 def test_keygen_usage_errors_write_no_key(tmp_path, capsys, args, message):
     code, out, err = run(capsys, "keygen", *args, "--out", str(tmp_path))
     assert (code, out, err) == (2, "", f"usage error: {message}\n")

@@ -21,7 +21,7 @@ from realseal import (
 from realseal.cli import main
 from realseal.manifest import MAX_MANIFEST_LEN
 
-from oracles import canonical_encode_reference, parse_manifest_reference
+from oracles import canonical_encode_reference, parse_manifest_reference, released_memoryview
 
 ZERO_HASH = "0" * 64
 
@@ -280,7 +280,8 @@ def test_parse_rejects_non_object():
         parse_manifest(b"[1,2,3]")
 
 
-@pytest.mark.parametrize("data", [MINIMAL_BYTES.decode(), None, 5], ids=["str", "None", "int"])
+@pytest.mark.parametrize("data", [MINIMAL_BYTES.decode(), None, 5, released_memoryview()],
+                         ids=["str", "None", "int", "released-memoryview"])
 def test_parse_refuses_what_is_not_bytes(data):
     with pytest.raises(ManifestError, match=type(data).__name__):
         parse_manifest(data)

@@ -20,12 +20,19 @@ from realseal import (
 from realseal.manifest import DEVICE_ID_RE
 from realseal.rng import fill_u64
 
-from oracles import load_registry_reference
+from oracles import (REGISTRY_GRAMMAR, ed25519_small_order_encodings, load_registry_reference,
+                     released_memoryview)
 
 KEY_A = "aa" * 32
 KEY_B = "bb" * 32
 
 CANONICAL = (f"CAM-001 trusted {KEY_A}\n" f"CAM-002 revoked {KEY_B}\n").encode()
+
+
+def _key(n: int) -> str:
+    """n as 64 hex digits, but KEY_B for 0 and 128: those spell small-order
+    points, which a registry refuses."""
+    return KEY_B if n in (0, 128) else f"{n:064x}"
 
 
 def test_load_single_entry():
@@ -72,7 +79,7 @@ def test_registry_built_directly_refuses_duplicate():
 
 
 def test_every_id_looks_up_to_its_entry_across_updates():
-    entries = tuple(RegistryEntry(f"CAM-{i:04d}", TRUSTED, f"{i:064x}") for i in range(1000))
+    entries = tuple(RegistryEntry(f"CAM-{i:04d}", TRUSTED, _key(i)) for i in range(1000))
     reg = Registry(iter(entries))
     assert reg.entries == entries
     revoked = revoke(reg, "CAM-0500")
@@ -144,7 +151,8 @@ def test_not_utf8_rejected():
         load_registry(b"\xff\xfe\x00")
 
 
-@pytest.mark.parametrize("data", [CANONICAL.decode(), None, 5], ids=["str", "None", "int"])
+@pytest.mark.parametrize("data", [CANONICAL.decode(), None, 5, released_memoryview()],
+                         ids=["str", "None", "int", "released-memoryview"])
 def test_load_refuses_what_is_not_bytes(data):
     with pytest.raises(RegistryError, match=type(data).__name__):
         load_registry(data)
@@ -170,7 +178,7 @@ def test_duplicate_in_every_bytes_like_form_names_its_line(kind):
 
 
 def test_entries_are_built_after_the_text_and_its_split_are_freed(monkeypatch):
-    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}\n"
+    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {_key(i * 7919)}\n"
                    for i in range(20_000)).encode()
     build = realseal.registry._unchecked_entries
     held = []
@@ -226,7 +234,7 @@ def test_load_leaves_the_collector_as_it_found_it(monkeypatch, data, error, enab
 
 
 def test_load_peaks_near_what_the_registry_keeps():
-    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}\n"
+    data = "".join(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {_key(i * 7919)}\n"
                    for i in range(20_000)).encode()
     tracemalloc.start()
     try:
@@ -299,7 +307,7 @@ def test_load_at_scale_keeps_bytes_entries_and_file_line_numbers():
             lines.append(f"# batch {i} #{i}")
         if i % 11 == 0:
             lines.append("")
-        lines.append(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {i * 7919:064x}")
+        lines.append(f"CAM-{i:05d} {REVOKED if i % 13 == 0 else TRUSTED} {_key(i * 7919)}")
     text = "".join(line + "\n" for line in lines)
     canonical = "".join(line + "\n" for line in lines if line and line[0] != "#").encode()
     reg = load_registry(text.encode())
@@ -314,6 +322,28 @@ def test_load_at_scale_keeps_bytes_entries_and_file_line_numbers():
         load_registry((text + f"CAM-08000 trusted {KEY_A.upper()}\n").encode())
     with pytest.raises(RegistryError, match=rf"^line {last}: duplicate device id 'CAM-00000'$"):
         load_registry((text + f"CAM-00000 trusted {KEY_A}").encode())
+
+
+@pytest.mark.parametrize("line, error", [
+    (f"CAM-99999 trusted {KEY_A.upper()}", "public key must be 64 lowercase hex chars"),
+    (f"CAM-00000 trusted {KEY_A}", "duplicate device id 'CAM-00000'"),
+    (f"CAM-99999 trusted {'00' * 32}", "public key is a small-order point"),
+], ids=["refused-line", "repeated-id", "small-order-key"])
+def test_an_error_at_line_100000_is_named_with_its_line(line, error):
+    head = "".join(f"CAM-{i:05d} trusted {_key(i * 7919)}\n" for i in range(99_999))
+    with pytest.raises(RegistryError, match=f"^line 100000: {error}$"):
+        load_registry((head + line + "\n").encode())
+
+
+def test_each_small_order_key_is_refused_on_its_line():
+    for key in sorted(ed25519_small_order_encodings()):
+        line = f"CAM-003 revoked {key.hex()}\n".encode()
+        with pytest.raises(RegistryError, match="^public key is a small-order point$"):
+            RegistryEntry("CAM-003", REVOKED, key.hex())
+        for data, lineno in ((line, 1), (CANONICAL + b"# note\n\n" + line + CANONICAL, 5)):
+            with pytest.raises(RegistryError,
+                               match=f"^line {lineno}: public key is a small-order point$"):
+                load_registry(data)
 
 
 # Characters that str.split() takes for whitespace and splitting on "\n" does
@@ -346,6 +376,9 @@ _REGISTRY_CASES = [
     # line breaks to splitlines() but not to the format: the entry stays in its comment
     f"# a\u2028CAM-001 trusted {KEY_A}\n", f"#\x85CAM-001 trusted {KEY_A}\nCAM-002 trusted {KEY_B}",
     f"CAM-001 trusted {KEY_A}\n# end", f"CAM-001 trusted {KEY_A}\n\n# end",
+    # a small-order key, alone, after a bad line and before a repeat
+    f"CAM-001 trusted {'00' * 32}\n", f"CAM-001 lost {KEY_A}\nCAM-002 trusted {'00' * 32}\n",
+    f"CAM-001 trusted {KEY_A}\nCAM-002 trusted {'ee' + 'ff' * 31}\nCAM-001 trusted {KEY_B}",
 ] + [case for c in _SPLIT_SPACES for case in (
     f"# a{c}b\nCAM-001 trusted {KEY_A}\n# {c}\n",
     f"CAM-001{c}trusted {KEY_A}\n",
@@ -495,8 +528,6 @@ def _moved_separators(seed: int) -> str:
 
 
 def test_load_agrees_with_reference_and_grammar_when_separators_move():
-    registry = realseal.registry
-    grammar = re.compile(rf"{registry._LINES}(?:{registry._ENTRY}|#[^\n]*)?")
     accepted = refused = repeats = 0
     for seed in range(3000):
         data = _moved_separators(seed).encode()
@@ -506,7 +537,7 @@ def test_load_agrees_with_reference_and_grammar_when_separators_move():
         except RegistryError as exc:  # anything else, TypeError from `raise None` too, fails
             got = str(exc)
         assert got == want, data
-        matched = grammar.fullmatch(data.decode()) is not None
+        matched = REGISTRY_GRAMMAR.fullmatch(data.decode()) is not None
         if isinstance(want, str):
             # a file the grammar matches is refused only for a repeated id
             assert not matched or " duplicate device id " in want, data

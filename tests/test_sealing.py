@@ -34,6 +34,7 @@ from realseal import (
 from realseal import sealing
 from realseal.manifest import MAX_MANIFEST_LEN, ManifestScores
 from realseal.rng import fill_u64
+from realseal.registry import _SMALL_ORDER_KEYS
 from realseal.sealing import (
     SealedBundle,
     load_keypair_file,
@@ -97,30 +98,54 @@ def test_signatures_agree_with_independent_rfc_transcription():
         assert verify_data(pair.public_key, msg, oracles.ed25519_sign(seed, msg))
 
 
-def test_a_seal_forged_under_a_small_order_key_is_tampered_manifest():
+@pytest.mark.parametrize("case, accepted", [
+    # Cofactorless acceptance, as RFC 8032 and the oracle; libsodium refuses
+    # an identity R, so a kernel swap must decide this case first.
+    ("identity-r", True),
+    ("non-canonical-r", False),
+    ("s-plus-l", False),
+    ("s-max", False),
+])
+def test_verify_data_at_the_edges_agrees_with_the_rfc_oracle(case, accepted):
+    seed = bytes(range(32))
+    public = oracles.ed25519_public_key(seed)
+    registry = Registry((RegistryEntry("EDGE-01", TRUSTED, public.hex()),))
+    manifest = RealismManifest("EDGE-01", 1700000000, ManifestScores(*[1000] * 5),
+                               image_hash(b"edge image"))
+    payload = canonical_encode(manifest)
+    signature = oracles.ed25519_edge_signatures(seed, payload)[case]
+    assert oracles.ed25519_verify(public, payload, signature) is accepted
+    assert verify_data(public, payload, signature) is accepted
+    report = verify(b"edge image", write_sidecar(SealedBundle(b"edge image", manifest, signature)),
+                    registry)
+    assert report.verdict == ("authentic" if accepted else "tampered_manifest")
+
+
+def test_a_small_order_key_that_a_forgery_verifies_under_is_refused():
     # R = identity, S = 0: under a key of order dividing 8 the library accepts
     # it for about one message in eight or better, so a few timestamps find one
     keys = oracles.ed25519_small_order_encodings()
-    assert len(keys) == 14
+    assert len(keys) == 14 and _SMALL_ORDER_KEYS == keys
     forged = (1).to_bytes(32, "little") + bytes(32)
-    image = b"any image"
     for key in sorted(keys):
-        registry = Registry((RegistryEntry("FORGE-01", TRUSTED, key.hex()),))
         for timestamp in range(256):
-            manifest = RealismManifest("FORGE-01", timestamp, ManifestScores(*[1000] * 5),
-                                       image_hash(image))
+            payload = canonical_encode(RealismManifest(
+                "FORGE-01", timestamp, ManifestScores(*[1000] * 5), image_hash(b"any image")))
             try:
-                Ed25519PublicKey.from_public_bytes(key).verify(forged, canonical_encode(manifest))
+                Ed25519PublicKey.from_public_bytes(key).verify(forged, payload)
                 break
             except InvalidSignature:
                 pass
         else:
             pytest.fail(f"no forgery found under {key.hex()}")
-        sidecar = write_sidecar(SealedBundle(image, manifest, forged))
-        assert verify(image, sidecar, registry).verdict == "tampered_manifest", key.hex()
+        # verify() would call such a seal tampered_manifest; no registry holds the key
+        assert verify_data(key, payload, forged) is False, key.hex()
+        with pytest.raises(RegistryError, match="^public key is a small-order point$"):
+            RegistryEntry("FORGE-01", TRUSTED, key.hex())
 
 
-@pytest.mark.parametrize("value", ["ab" * 16, None, 5], ids=["str", "None", "int"])
+@pytest.mark.parametrize("value", ["ab" * 16, None, 5, oracles.released_memoryview()],
+                         ids=["str", "None", "int", "released-memoryview"])
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["public_key", "data", "signature"])
 def test_verify_data_refuses_what_is_not_bytes(device_pair, position, value):
     args = [device_pair.public_key, b"data", sign_data(device_pair.secret_seed, b"data")]
@@ -366,7 +391,10 @@ def test_nesting_bomb_sidecar_is_malformed(trusted_registry):
     (None, "good"),
     ("image payload", "good"),
     (np.frombuffer(b"image payload", dtype=np.uint8), "good"),
-], ids=["str-sidecar", "None-sidecar", "int-sidecar", "None-image", "str-image", "ndarray-image"])
+    (b"img", oracles.released_memoryview()),
+    (oracles.released_memoryview(), "good"),
+], ids=["str-sidecar", "None-sidecar", "int-sidecar", "None-image", "str-image", "ndarray-image",
+        "released-sidecar", "released-image"])
 def test_inputs_that_are_not_bytes_are_malformed(device_pair, trusted_registry, image, sidecar):
     if sidecar == "good":
         sidecar = write_sidecar(_bundle(device_pair))
@@ -399,8 +427,9 @@ def test_every_bytes_like_input_verifies(device_pair, trusted_registry):
         assert read_sidecar(kind(sidecar)) == (bundle.manifest, bundle.signature)
 
 
-@pytest.mark.parametrize("data", ["RSL1", None, 5, [82, 83, 76, 49]],
-                         ids=["str", "None", "int", "list"])
+@pytest.mark.parametrize("data", ["RSL1", None, 5, [82, 83, 76, 49],
+                                  oracles.released_memoryview()],
+                         ids=["str", "None", "int", "list", "released-memoryview"])
 def test_read_sidecar_refuses_what_is_not_bytes(data):
     with pytest.raises(SidecarError, match=type(data).__name__):
         read_sidecar(data)
@@ -557,11 +586,10 @@ def test_keypair_file_of_at_most_1024_bytes_loads(tmp_path, device_pair):
 
 
 def test_keypair_file_bad_contents(tmp_path):
-    bad = tmp_path / "CAM-9.sk"
-    bad.write_text("zz" * 32)
-    with pytest.raises(RealSealError, match="hex"):
-        load_keypair_file(bad)
-    short = tmp_path / "CAM-8.sk"
-    short.write_text("ab" * 16)
-    with pytest.raises(RealSealError, match="32 octets"):
-        load_keypair_file(short)
+    for text in ("zz" * 32, "ab" * 16,
+                 " ".join(["ab"] * 32),  # bytes.fromhex would read these 32 pairs
+                 "ab" * 15 + "a b " + "ab" * 15):  # 64 characters, two of them spaces
+        bad = tmp_path / "CAM-9.sk"
+        bad.write_text(text + "\n")
+        with pytest.raises(RealSealError, match="CAM-9.sk must be 64 hex chars$"):
+            load_keypair_file(bad)
