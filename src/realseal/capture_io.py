@@ -16,12 +16,12 @@ There is no trailing byte. Every size follows from the metadata, so the
 reader reads the header and the metadata first and checks the file's exact
 length against them before it reads the rest: a file of any other length is
 refused without being read. Metadata longer than the longest canonical one
-is refused before it is read, and the metadata read must be the writer's own
-encoding of its fields. The reader checks only the sizes and the shape of
-the metadata; SceneCapture checks every other field. An accepted file is read whole into one buffer,
-and every array is a read-only view of it. Two writes of the same
-capture are byte-identical. Directories in the older per-file layout
-(``capture.json``, ``frame_%04d.pgm``, ...) no longer read.
+is refused before it is read. The reader checks only the sizes and the shape
+of the metadata; SceneCapture checks every other field. A file reads only if
+it is exactly the bytes the writer writes for the capture it holds. An
+accepted file is read whole into one buffer, and every array is a read-only
+view of it. Two writes of the same capture are byte-identical. Directories in
+the older per-file layout (``capture.json``, ``frame_%04d.pgm``, ...) no longer read.
 """
 
 from __future__ import annotations
@@ -103,17 +103,21 @@ def _overwrite(path: str, *parts) -> None:
             f.truncate()
 
 
-def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
-    """Write a capture directory; returns its path."""
-    root = os.fspath(path)
-    os.makedirs(root, exist_ok=True)
+def _header(capture: SceneCapture) -> bytes:
+    """capture.rsc up to the arrays: magic, u32le length, canonical metadata, zero pad."""
     meta = {k: getattr(capture, k) for k in _FIELDS}
     meta.update(zip(_DIMS, (*capture.frames.shape, capture.audio.size, *capture.thermal.shape)))
     if capture.location is not None:
         meta["location"] = dict(zip(_LOCATION, capture.location))
     text = _encode_meta(meta)
-    header = _MAGIC + struct.pack("<I", len(text)) + text + bytes(-len(text) % 4)
-    _overwrite(os.path.join(root, CAPTURE_FILE), header,
+    return _MAGIC + struct.pack("<I", len(text)) + text + bytes(-len(text) % 4)
+
+
+def write_capture_dir(capture: SceneCapture, path: str | Path) -> Path:
+    """Write a capture directory; returns its path."""
+    root = os.fspath(path)
+    os.makedirs(root, exist_ok=True)
+    _overwrite(os.path.join(root, CAPTURE_FILE), _header(capture),
                *(np.ascontiguousarray(getattr(capture, a), dtype="<f4") for a in _ARRAYS),
                np.ascontiguousarray(capture.frames))
     return Path(root)
@@ -137,10 +141,9 @@ def _open_file(path: str) -> io.FileIO:
     return open(fd, "rb", buffering=0)
 
 
-def _read_meta(file: io.FileIO, size: int) -> tuple[dict, bytes, int]:
+def _read_meta(file: io.FileIO, size: int) -> tuple[dict, int]:
     """The metadata of a capture.rsc of size bytes open as file, read from its
-    start, with its fields and sizes checked; its bytes; and the offset of the
-    arrays."""
+    start, with its fields and sizes checked, and the offset of the arrays."""
     head = file.read(8)
     if len(head) < 8 or head[:4] != _MAGIC:
         raise CaptureError(f"corrupt capture: bad {CAPTURE_FILE} magic")
@@ -150,14 +153,12 @@ def _read_meta(file: io.FileIO, size: int) -> tuple[dict, bytes, int]:
         raise CaptureError("corrupt capture: metadata runs past the end of the file")
     if n > _MAX_META_LEN:
         raise CaptureError(f"corrupt capture: metadata longer than {_MAX_META_LEN} bytes")
-    text = file.read(start - 8)
-    if len(text) != start - 8:
+    text = file.read(n)
+    if len(text) != n:
         raise CaptureError(_SIZE_MISMATCH)
-    if any(text[n:]):
-        raise CaptureError("corrupt capture: non-zero pad byte")
     # Bad UTF-8 is a ValueError too; nesting past the recursion limit is a RecursionError.
     try:
-        meta = json.loads(text[:n])
+        meta = json.loads(text)
     except (ValueError, RecursionError):
         raise CaptureError("corrupt capture: metadata is not valid JSON") from None
     if not isinstance(meta, dict):
@@ -167,14 +168,13 @@ def _read_meta(file: io.FileIO, size: int) -> tuple[dict, bytes, int]:
     for key in _DIMS:
         if not _is_int(meta[key]):
             raise CaptureError(f"corrupt capture: {key} must be an integer")
-    for key in _DIMS:
         if meta[key] <= 0:
             raise CaptureError(f"corrupt capture: {key} must be positive")
     if "location" in meta:
         loc = meta["location"]
         if not isinstance(loc, dict) or set(loc) != {*_LOCATION}:
             raise CaptureError("corrupt capture: malformed location")
-    return meta, text[:n], start
+    return meta, start
 
 
 def read_capture_dir(path: str | Path) -> SceneCapture:
@@ -184,7 +184,7 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         raise CaptureError(f"corrupt capture: {root} is not a directory")
     with _open_file(os.path.join(root, CAPTURE_FILE)) as file:
         size = os.fstat(file.fileno()).st_size
-        meta, text, offset = _read_meta(file, size)
+        meta, offset = _read_meta(file, size)
         f, h, w, samples, th, tw = (meta[k] for k in _DIMS)
         shapes = ((1, h, w), (th, tw), (samples,), (f,))
         counts = [math.prod(s) for s in shapes]
@@ -207,8 +207,8 @@ def read_capture_dir(path: str | Path) -> SceneCapture:
         frames=np.frombuffer(data, np.uint8, f * h * w, offset).reshape(f, h, w),
         location=None if loc is None else tuple(map(loc.get, _LOCATION)),
         **floats, **{k: meta[k] for k in _FIELDS})
-    # After SceneCapture, so that an ill-typed field is named: only the
-    # writer's own encoding of the fields read is accepted.
-    if _encode_meta(meta) != text:
+    # After SceneCapture, so that an ill-typed field is named. The header holds
+    # its own length, so a file that starts with it has it as its whole header.
+    if not data.startswith(_header(capture)):
         raise CaptureError("corrupt capture: metadata is not canonical JSON")
     return capture

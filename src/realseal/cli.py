@@ -29,9 +29,9 @@ from .sealing import (
     _MAX_SIDECAR_LEN,
     SEED_LEN,
     VERDICT_AUTHENTIC,
+    DeviceKeyPair,
     _seed_of_hex,
     _verify_image_hash,
-    keygen,
     load_keypair_file,
     read_sidecar,
     seal,
@@ -120,7 +120,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         seed = _seed_of_hex(args.seed, "--seed", UsageError)
     else:
         seed = os.urandom(SEED_LEN)
-    pair = keygen(args.device_id, seed)
+    pair = DeviceKeyPair(args.device_id, seed)
     sk, pk = write_keypair_files(pair, args.out, force=args.force)
     print(f"wrote {sk} and {pk}")
     print(f"public key: {pair.public_key.hex()}")

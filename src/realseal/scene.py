@@ -33,7 +33,7 @@ from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _ch
                        _checked_location, _is_int)
 from .rng import fill_u64, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
-from .scoring import _flow_is_exact, motion_energy, window_bounds
+from .scoring import _flow_is_exact, _span_is_exact, motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
@@ -198,8 +198,7 @@ class ScenarioParams:
         for name, rate in (("frame_rate", self.frame_rate), ("sample_rate", self.sample_rate)):
             if not _is_int(rate) or rate <= 0:
                 raise CaptureError(f"{name} must be a positive integer")
-        # window_bounds' last bound fits int64; with the check below it bounds both rates
-        if self.frame_count * self.sample_rate >= 2**63:
+        if not _span_is_exact(self.frame_count, self.sample_rate):
             raise CaptureError("frame_count * sample_rate must be below 2**63")
         # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
         if self.sample_rate < self.frame_rate:

@@ -113,11 +113,10 @@ def score_thermal(temps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
-    """Sample index of each frame-window boundary: ceil(k*sr/fr), k=0..n.
-
-    Exact in int64 while frame_count * sample_rate < 2**63, which
-    ScenarioParams checks, for itself and for every SceneCapture.
-    """
+    """Sample index of each frame-window boundary, ceil(k*sr/fr) for k=0..n,
+    exact in int64; a span frame_count * sample_rate past int64 is refused."""
+    if not _span_is_exact(frame_count, sample_rate):
+        raise ValueError("frame_count * sample_rate must be below 2**63")
     k = np.arange(frame_count + 1, dtype=np.int64)
     return -(-(k * sample_rate) // frame_rate)
 
@@ -137,6 +136,11 @@ def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
     x = samples[:bounds[-1]].astype(np.float64)
     x *= x
     return np.sqrt(np.add.reduceat(x, bounds[:-1]) / widths)
+
+
+def _span_is_exact(frame_count: int, sample_rate: int) -> bool:
+    """True while window_bounds' last bound, frame_count * sample_rate, fits int64."""
+    return frame_count * sample_rate < 2**63
 
 
 def _flow_is_exact(height: int, width: int) -> bool:
@@ -245,8 +249,7 @@ def score_av_alignment(envelope_tail, motion) -> float:
     lag, rho = best_lag_correlation(envelope_tail, motion, _MAX_LAG_FRAMES)
     if rho is None:
         return 0.5
-    score = max(0.0, rho) * (1.0 - abs(lag) / (_MAX_LAG_FRAMES + 1))
-    return min(1.0, max(0.0, score))
+    return max(0.0, rho) * (1.0 - abs(lag) / (_MAX_LAG_FRAMES + 1))
 
 
 def score_audio_sync(capture: SceneCapture) -> float:
@@ -313,7 +316,7 @@ def _score_motion(capture: SceneCapture, shifts: np.ndarray) -> float:
         both_zero = (np.max(np.abs(f), initial=0.0) <= _ZERO_MOTION_EPS
                      and np.max(np.abs(g), initial=0.0) <= _ZERO_MOTION_EPS)
         return 1.0 if both_zero else 0.0
-    return min(1.0, max(0.0, rho))
+    return max(0.0, rho)
 
 
 # ---------------------------------------------------------------------------

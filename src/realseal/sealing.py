@@ -130,9 +130,7 @@ def _key_of_seed(seed: object) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(bytes(seed))
 
 
-def keygen(device_id: str, seed: bytes) -> DeviceKeyPair:
-    """Deterministic Ed25519 keypair from a 32-octet seed."""
-    return DeviceKeyPair(device_id, seed)
+keygen = DeviceKeyPair  # keygen(device_id, seed): the keypair of a 32-octet seed
 
 
 def sign_data(secret_seed: bytes, data: bytes) -> bytes:
@@ -332,4 +330,4 @@ def load_keypair_file(path: str | Path) -> DeviceKeyPair:
         raise RealSealError(f"cannot read secret key file {p}: {exc}") from None
     if len(data) > _MAX_KEY_FILE_LEN:
         raise RealSealError(f"secret key file {p} is longer than {_MAX_KEY_FILE_LEN} bytes")
-    return keygen(p.stem, _seed_of_hex(text, f"secret key file {p}", RealSealError))
+    return DeviceKeyPair(p.stem, _seed_of_hex(text, f"secret key file {p}", RealSealError))

@@ -70,3 +70,10 @@ def test_a_version_that_is_not_an_integer_is_refused(version):
         RealismManifest(device_id="CAM-001", timestamp_unix=0,
                         scores=ManifestScores(0, 0, 0, 0, 0), image_sha256="0" * 64,
                         version=version)
+
+
+@pytest.mark.parametrize("record", [None, b"{}", {"version": 1}, ManifestScores(0, 0, 0, 0, 0)],
+                         ids=["None", "bytes", "dict", "scores"])
+def test_what_is_not_a_manifest_has_no_encoding(record):
+    with pytest.raises(ManifestError, match="expected a RealismManifest"):
+        canonical_encode(record)

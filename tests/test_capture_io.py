@@ -196,7 +196,8 @@ def _pad_after_meta(data: bytes) -> int:
     (lambda d: d[:6], "bad capture.rsc magic"),
     (lambda d: d[:-5], "size mismatch"),
     (lambda d: d + b"\x00", "size mismatch"),
-    (lambda d: d[:_pad_after_meta(d)] + b"\x01" + d[_pad_after_meta(d) + 1:], "non-zero pad byte"),
+    (lambda d: d[:_pad_after_meta(d)] + b"\x01" + d[_pad_after_meta(d) + 1:],
+     "metadata is not canonical JSON"),
     (lambda d: d[:4] + struct.pack("<I", len(d)) + d[8:], "past the end of the file"),
     (lambda d: d[:4] + struct.pack("<I", 2**32 - 1) + d[8:], "past the end of the file"),
 ], ids=["short-header", "truncated", "trailing-byte", "pad-byte", "meta-length-past-end",
@@ -372,13 +373,14 @@ def test_huge_pixels_per_radian_is_corrupt(tmp_path, ppr, match):
 
 
 def test_integer_pixels_per_radian_reads_as_float(tmp_path):
+    # an integer given in memory is the float 64.0, written and read back as
+    # one; on disk, "pixels_per_radian":64 is refused (the writer's-encoding test)
     cap = generate_genuine_scene(1)
-    root = write_capture_dir(cap, tmp_path / "cap")
-    written = _rsc(root).read_bytes()
-    _edit_meta(root, lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":64'))
+    written = _rsc(write_capture_dir(cap, tmp_path / "cap")).read_bytes()
+    root = write_capture_dir(dataclasses.replace(cap, pixels_per_radian=64), tmp_path / "int")
+    assert _rsc(root).read_bytes() == written
     back = read_capture_dir(root)
     assert type(back.pixels_per_radian) is float and back == cap
-    assert _rsc(write_capture_dir(back, tmp_path / "again")).read_bytes() == written
 
 
 @pytest.mark.parametrize("edit", [
@@ -387,7 +389,8 @@ def test_integer_pixels_per_radian_reads_as_float(tmp_path):
     lambda m: m.replace("{", '{"width":32,', 1),
     lambda m: m.replace('"SIM-', '"\\u0053IM-'),
     lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":6.4e1'),
-], ids=["spaces", "key-order", "repeated-key", "escape", "exponent"])
+    lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":64'),
+], ids=["spaces", "key-order", "repeated-key", "escape", "exponent", "integer"])
 def test_metadata_that_is_not_the_writers_encoding_is_refused(tmp_path, edit):
     # each edit reads back to the same fields, so only the bytes tell it apart
     cap = dataclasses.replace(generate_genuine_scene(1), location=(-33_868_820, 151_209_296))
@@ -518,5 +521,70 @@ def test_seeded_mutants_read_and_score_or_are_refused(tmp_path):
                 continue
             score_capture(capture)
             read += 1
+    # both outcomes are common, so the mutants neither all break nor all miss
+    assert min(read, refused) >= count // 10, (read, refused)
+
+
+# ---------------------------------------------------------------------------
+# seeded header mutants: each one reads to a capture whose rewrite is the
+# mutant, byte for byte, or is a CaptureError
+# ---------------------------------------------------------------------------
+
+# bytes that mean something to JSON, to a number in it, or to UTF-8
+_HEADER_SNIPPETS = (b" ", b"0", b"7", b"-", b".0", b"e0", b"E+1", b'"', b",", b":", b"}",
+                    b"\\u0053", b"\x00", b"\xff")
+
+
+def _header_mutant(data: bytes, kind: int, a: int, b: int) -> bytes:
+    """One mutation of the bytes before data's arrays, as drawn: kinds 0-2 edit
+    them raw, the length and pad included; kinds 3-6 edit the metadata and
+    repack it with its new length and a zero pad."""
+    meta, body = split_capture_rsc(data)
+    if kind < 3:
+        text, pos = data[:len(data) - len(body)], a % (len(data) - len(body))
+    else:
+        text, pos = meta, a % len(meta)
+    if kind % 4 == 0:  # flip bits of one byte
+        text = text[:pos] + bytes([text[pos] ^ (b % 255 + 1)]) + text[pos + 1:]
+    elif kind % 4 == 1:
+        text = text[:pos] + _HEADER_SNIPPETS[b % len(_HEADER_SNIPPETS)] + text[pos:]
+    elif kind % 4 == 2:  # delete 1-4 bytes
+        text = text[:pos] + text[pos + b % 4 + 1:]
+    else:  # a digit for another digit: a field of another value, or a size mismatch
+        digits = [i for i, c in enumerate(text) if 48 <= c <= 57]
+        at = digits[pos % len(digits)]
+        text = text[:at] + str(b % 10).encode() + text[at + 1:]
+    return text + body if kind < 3 else pack_capture_rsc(text, body)
+
+
+def test_seeded_header_mutants_read_to_their_own_bytes_or_are_refused(tmp_path):
+    cap = generate_genuine_scene(1)
+    originals = [_rsc(write_capture_dir(c, tmp_path / "src")).read_bytes()
+                 for c in (cap, dataclasses.replace(cap, location=None))]
+    edits = [lambda m: m.replace('"pixels_per_radian":64.0', '"pixels_per_radian":64'),
+             lambda m: m.replace(",", ", "),
+             lambda m: json.dumps(dict(reversed(json.loads(m).items())), separators=(",", ":"))]
+    mutants = [pack_capture_rsc(edit(meta.decode()).encode(), body)
+               for meta, body in map(split_capture_rsc, originals) for edit in edits]
+    mutants += [d[:_pad_after_meta(d)] + b"\x01" + d[_pad_after_meta(d) + 1:] for d in originals]
+    count = 2000
+    draws = iter(fill_u64(0x4EAD, 4 * count).tolist())
+    for _ in range(count):
+        data, kind, a, b = (next(draws) for _ in range(4))
+        mutants.append(_header_mutant(originals[data % len(originals)], kind % 7, a, b))
+    root = tmp_path / "cap"
+    root.mkdir()
+    read = refused = 0
+    with open(_rsc(root), "wb", buffering=0) as f:
+        for mutant in mutants:
+            os.pwrite(f.fileno(), mutant, 0)
+            f.truncate(len(mutant))
+            try:  # any other exception fails the test
+                capture = read_capture_dir(root)
+            except CaptureError:
+                refused += 1
+                continue
+            read += 1
+            assert _rsc(write_capture_dir(capture, tmp_path / "again")).read_bytes() == mutant
     # both outcomes are common, so the mutants neither all break nor all miss
     assert min(read, refused) >= count // 10, (read, refused)

@@ -125,6 +125,25 @@ def test_simulate_unknown_scenario_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("x", "not an integer: 'x'"),
+    (str(2**64), "seed must fit in 64 unsigned bits"),
+], ids=["not-an-integer", "2**64"])
+def test_simulate_bad_seed_is_usage_error(tmp_path, capsys, seed, message):
+    code, out, err = run(capsys, "simulate", "--scenario", "genuine", "--seed", seed,
+                         "--out", str(tmp_path / "cap"))
+    assert code == 2 and out == "" and f"argument --seed: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_onto_an_existing_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "cap").write_bytes(b"")
+    code, out, err = run(capsys, "simulate", "--scenario", "genuine",
+                         "--out", str(tmp_path / "cap"))
+    assert (code, out) == (1, "") and err.startswith("i/o error: ")
+    assert (tmp_path / "cap").read_bytes() == b""
+
+
 def test_simulate_same_seed_byte_identical(tmp_path, capsys):
     run(capsys, "simulate", "--scenario", "screen-replay", "--seed", "7",
         "--out", str(tmp_path / "a"))

@@ -482,6 +482,22 @@ def test_yaw_rates_validation():
         dataclasses.replace(cap, yaw_rates=bad)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("frames", lambda cap: cap.frames[0], r"frames must be an \(F,H,W\) stack"),
+    ("depth_maps", lambda cap: cap.depth_maps.astype(np.float64), "depths must be float32"),
+    ("thermal", lambda cap: cap.thermal.astype(np.float64), "temps must be float32"),
+    ("thermal", lambda cap: cap.thermal[:0], "thermal map must be a non-empty 2-D array"),
+    ("thermal", lambda cap: cap.thermal.ravel(), "thermal map must be a non-empty 2-D array"),
+    ("audio", lambda cap: cap.audio.reshape(2, -1), "samples must be a 1-D float32 array"),
+    ("yaw_rates", lambda cap: cap.yaw_rates[:-1], "IMU trace must have one entry per frame"),
+], ids=["2-D-frames", "float64-depth", "float64-thermal", "empty-thermal", "1-D-thermal",
+        "2-D-audio", "short-yaw-trace"])
+def test_sensor_of_the_wrong_shape_or_dtype_is_refused(field, value, match):
+    cap = generate_genuine_scene(1)
+    with pytest.raises(CaptureError, match=match):
+        dataclasses.replace(cap, **{field: value(cap)})
+
+
 def test_capture_cross_validation():
     cap = generate_genuine_scene(1)
     with pytest.raises(CaptureError):
@@ -619,3 +635,9 @@ def test_captures_differing_in_one_sensor_are_unequal(field):
     other = dataclasses.replace(cap, **{field: _CHANGED[field](cap)})
     assert other != cap and cap != other
     assert dataclasses.replace(cap) == cap
+
+
+def test_capture_is_unequal_to_what_is_not_a_capture():
+    cap = generate_genuine_scene(1)
+    assert cap.__eq__(1) is NotImplemented
+    assert cap != 1 and cap != "capture"

@@ -25,7 +25,7 @@ from realseal import (
     score_thermal,
 )
 from realseal import scoring
-from realseal.scoring import score_audio_sync, score_av_alignment
+from realseal.scoring import score_audio_sync, score_av_alignment, window_bounds
 
 from oracles import (
     best_lag_reference,
@@ -184,6 +184,26 @@ def test_envelope_insufficient_samples():
     samples = np.zeros(100, dtype=np.float32)
     with pytest.raises(ValueError):
         audio_envelope(samples, 8000, 8, 16)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: audio_envelope(np.zeros(80, np.float32), 0, 8, 8), "must be positive"),
+    (lambda: audio_envelope(np.zeros(80, np.float32), 80, -8, 8), "must be positive"),
+    # bounds 0, 1, 1, 2, 2: the second window holds no sample
+    (lambda: audio_envelope(np.zeros(10, np.float32), 4, 8, 4), "shorter than one audio sample"),
+    (lambda: audio_envelope(np.zeros(10, np.float32), 2**62, 1, 4), r"below 2\*\*63"),
+    (lambda: window_bounds(8, 1, 2**61), r"below 2\*\*63"),
+], ids=["zero-sample-rate", "negative-frame-rate", "window-without-sample",
+        "envelope-past-int64", "bounds-past-int64"])
+def test_envelope_refuses_what_it_cannot_window(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_window_bounds_are_exact_up_to_int64():
+    # the last span below 2**63 is computed exactly; one past it is refused
+    # above, where int64 would wrap it to a negative bound
+    assert window_bounds(3, 1, 2**61)[-1] == 3 * 2**61
 
 
 # ---------------------------------------------------------------------------

@@ -593,3 +593,15 @@ def test_keypair_file_bad_contents(tmp_path):
         bad.write_text(text + "\n")
         with pytest.raises(RealSealError, match="CAM-9.sk must be 64 hex chars$"):
             load_keypair_file(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sk: None,
+    lambda sk: sk.mkdir(),
+    lambda sk: sk.write_bytes(b"\xff" * 64 + b"\n"),
+], ids=["missing", "directory", "not-ascii"])
+def test_keypair_file_that_cannot_be_read_is_refused(tmp_path, make):
+    sk = tmp_path / "CAM-9.sk"
+    make(sk)
+    with pytest.raises(RealSealError, match=r"^cannot read secret key file .*CAM-9\.sk: "):
+        load_keypair_file(sk)
