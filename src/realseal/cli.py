@@ -65,13 +65,10 @@ def _seed_range(text: str) -> range:
     """'N' or 'A..B' (inclusive); empty ranges are a usage error. A range, not
     a list, so that no seed list is built before the first row is scored."""
     lo, sep, hi = text.partition("..")
-    try:
-        first = int(lo)
-        last = int(hi) if sep else first
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed range: {text!r}")
-    if first < 0 or last < first or last >= 2**64:
-        raise argparse.ArgumentTypeError(f"empty or out-of-range seed range: {text!r}")
+    first = _uint64(lo)
+    last = _uint64(hi) if sep else first
+    if last < first:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
     return range(first, last + 1)
 
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CaptureError
 from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _check_timestamp,
                        _checked_location, _is_int)
 from .rng import fill_u64, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
-from .scoring import _flow_is_exact, _span_is_exact, motion_energy, window_bounds
+from .scoring import _flow_error, _rolls, _window_error, motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
@@ -191,18 +190,12 @@ class ScenarioParams:
             raise CaptureError("width, height and frame_count must be integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")
-        if not _flow_is_exact(self.height, self.width):
-            raise CaptureError("frames too large: width * (255 * height)**2 must be below 2**63")
+        if error := _flow_error(self.height, self.width):
+            raise CaptureError(error)
         if self.frame_count < MIN_FRAME_COUNT:
             raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
-        for name, rate in (("frame_rate", self.frame_rate), ("sample_rate", self.sample_rate)):
-            if not _is_int(rate) or rate <= 0:
-                raise CaptureError(f"{name} must be a positive integer")
-        if not _span_is_exact(self.frame_count, self.sample_rate):
-            raise CaptureError("frame_count * sample_rate must be below 2**63")
-        # every frame window [k/frame_rate, (k+1)/frame_rate) needs an audio sample
-        if self.sample_rate < self.frame_rate:
-            raise CaptureError("audio sample_rate must be at least frame_rate")
+        if error := _window_error(self.frame_count, self.frame_rate, self.sample_rate):
+            raise CaptureError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +302,8 @@ def _location(ua: float, ub: float) -> tuple[int, int]:
 
 def _pan(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(F,H,W) stack whose frame k is np.roll(base, offsets[k], axis=1)."""
-    w = base.shape[1]
-    # windows[:, j] == np.roll(base, -j, axis=1), a strided view rather than a copy
-    windows = sliding_window_view(np.concatenate([base, base[:, :-1]], axis=1), w, axis=1)
-    return np.ascontiguousarray(windows.transpose(1, 0, 2)[-offsets % w])
+    # _rolls(base)[:, j] == np.roll(base, -j, axis=1)
+    return np.ascontiguousarray(_rolls(base).transpose(1, 0, 2)[-offsets % base.shape[1]])
 
 
 def _moving_frames(tex_seed: int, phase: int, params: ScenarioParams

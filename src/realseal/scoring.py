@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .manifest import _is_int
+
 if TYPE_CHECKING:  # scene imports this module, so no runtime import back
     from .scene import SceneCapture
 
@@ -114,47 +116,54 @@ def score_thermal(temps: np.ndarray) -> float:
 
 def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
     """Sample index of each frame-window boundary, ceil(k*sr/fr) for k=0..n,
-    exact in int64; a span frame_count * sample_rate past int64 is refused."""
-    if not _span_is_exact(frame_count, sample_rate):
-        raise ValueError("frame_count * sample_rate must be below 2**63")
+    exact in int64; sizes that break the frame-window rule are refused."""
+    if error := _window_error(frame_count, frame_rate, sample_rate):
+        raise ValueError(error)
     k = np.arange(frame_count + 1, dtype=np.int64)
     return -(-(k * sample_rate) // frame_rate)
 
 
 def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
                    frame_count: int) -> np.ndarray:
-    """Per-frame RMS of the samples in [k/frame_rate, (k+1)/frame_rate)."""
-    if sample_rate <= 0 or frame_rate <= 0 or frame_count <= 0:
-        raise ValueError("sample_rate, frame_rate and frame_count must be positive")
+    """Per-frame RMS of the samples in [k/frame_rate, (k+1)/frame_rate), the
+    windows of window_bounds; the samples must cover the frame span."""
     samples = np.asarray(samples)
     bounds = window_bounds(frame_count, frame_rate, sample_rate)
     if bounds[-1] > samples.size:
         raise ValueError("insufficient audio samples for the frame span")
-    widths = np.diff(bounds)
-    if np.any(widths == 0):
-        raise ValueError("frame window shorter than one audio sample")
     x = samples[:bounds[-1]].astype(np.float64)
     x *= x
-    return np.sqrt(np.add.reduceat(x, bounds[:-1]) / widths)
+    return np.sqrt(np.add.reduceat(x, bounds[:-1]) / np.diff(bounds))
 
 
-def _span_is_exact(frame_count: int, sample_rate: int) -> bool:
-    """True while window_bounds' last bound, frame_count * sample_rate, fits int64."""
-    return frame_count * sample_rate < 2**63
+def _window_error(frame_count: int, frame_rate: int, sample_rate: int) -> str | None:
+    """The first frame-window rule the sizes break, or None; sample_rate >=
+    frame_rate puts a sample in every window, and bounds frame_rate too."""
+    for name, size in (("frame_count", frame_count), ("frame_rate", frame_rate),
+                       ("sample_rate", sample_rate)):
+        if not _is_int(size) or size <= 0:
+            return f"{name} must be a positive integer"
+    if frame_count * sample_rate >= 2**63:
+        return "frame_count * sample_rate must be below 2**63"
+    if sample_rate < frame_rate:
+        return "audio sample_rate must be at least frame_rate"
+    return None
 
 
-def _flow_is_exact(height: int, width: int) -> bool:
-    """True while every flow_shift dot product, at most w * (255 * h)**2, fits
+def _flow_error(height: int, width: int) -> str | None:
+    """None while every flow_shift dot product, at most w * (255 * h)**2, fits
     int64; on Python ints, so the check itself cannot overflow."""
-    return width * (255 * height) ** 2 < 2**63
+    if width * (255 * height) ** 2 >= 2**63:
+        return "frames too large: width * (255 * height)**2 must be below 2**63"
+    return None
 
 
 def _frame_stack(frames) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.dtype != np.uint8 or frames.ndim != 3 or len(frames) < 2:
         raise ValueError("expected an (F,H,W) uint8 frame stack with at least 2 frames")
-    if not _flow_is_exact(frames.shape[1], frames.shape[2]):
-        raise ValueError("frame stack too large: w * (255 * h)**2 must be below 2**63")
+    if error := _flow_error(frames.shape[1], frames.shape[2]):
+        raise ValueError(error)
     return frames
 
 
@@ -285,14 +294,17 @@ def flow_shift(frames) -> np.ndarray:
     return _flow_shift(_column_sums(_frame_stack(frames)))
 
 
+def _rolls(rows: np.ndarray) -> np.ndarray:
+    """(N, W, W) view whose [n, k] is np.roll(rows[n], -k): strided, not a copy."""
+    w = rows.shape[1]
+    return sliding_window_view(np.concatenate([rows, rows[:, :-1]], axis=1), w, axis=1)
+
+
 def _flow_shift(profiles: np.ndarray) -> np.ndarray:
     """flow_shift of the stack whose column-sum profiles are ``profiles``."""
     w = profiles.shape[1]
     shifts = np.fromiter(_lag_preference(w // 2), dtype=np.int64)
-    nxt = profiles[1:]
-    # windows[t, k] == roll(nxt[t], -k), a strided view rather than a copy
-    windows = sliding_window_view(np.concatenate([nxt, nxt[:, :-1]], axis=1), w, axis=1)
-    dots = np.einsum("tkw,tw->tk", windows, profiles[:-1])
+    dots = np.einsum("tkw,tw->tk", _rolls(profiles[1:]), profiles[:-1])
     # columns in preference order, so the first maximum applies the tie rule
     return shifts[np.argmax(dots[:, shifts % w], axis=1)]
 

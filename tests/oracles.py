@@ -298,7 +298,8 @@ _L = 2**252 + 27742317777372353535851937790883648493
 
 
 def _inv(x: int) -> int:
-    return pow(x, _P - 2, _P)
+    # Euclid's inverse, 8x faster here than Fermat's x**(p - 2); no caller passes 0
+    return pow(x, -1, _P)
 
 
 _D = -121665 * _inv(121666) % _P
@@ -381,13 +382,20 @@ def ed25519_public_key(seed: bytes) -> bytes:
     return _encode_point(_scalarmult(_B, a))
 
 
-def ed25519_sign(seed: bytes, message: bytes) -> bytes:
+def ed25519_challenge(r_enc: bytes, public: bytes, message: bytes) -> int:
+    """k = SHA-512(R || A || message) mod L."""
+    return int.from_bytes(_sha512(r_enc + public + message), "little") % _L
+
+
+def ed25519_sign(seed: bytes, message: bytes, public: bytes | None = None) -> bytes:
+    """The RFC 8032 signature of message under seed; with public, the one a
+    holder of seed makes while announcing public as its key."""
     a, prefix = _expand_seed(seed)
-    public = _encode_point(_scalarmult(_B, a))
+    if public is None:
+        public = _encode_point(_scalarmult(_B, a))
     r = int.from_bytes(_sha512(prefix + message), "little") % _L
     r_enc = _encode_point(_scalarmult(_B, r))
-    k = int.from_bytes(_sha512(r_enc + public + message), "little") % _L
-    s = (r + k * a) % _L
+    s = (r + ed25519_challenge(r_enc, public, message) * a) % _L
     return r_enc + s.to_bytes(32, "little")
 
 
@@ -401,7 +409,7 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     s = int.from_bytes(signature[32:], "little")
     if s >= _L:
         return False
-    k = int.from_bytes(_sha512(signature[:32] + public + message), "little") % _L
+    k = ed25519_challenge(signature[:32], public, message)
     return _scalarmult(_B, s) == _edwards_add(r_point, _scalarmult(a_point, k))
 
 
@@ -420,7 +428,7 @@ def ed25519_edge_signatures(seed: bytes, message: bytes) -> dict[str, bytes]:
     public = _encode_point(_scalarmult(_B, a))
 
     def under(r_enc: bytes) -> bytes:
-        k = int.from_bytes(_sha512(r_enc + public + message), "little") % _L
+        k = ed25519_challenge(r_enc, public, message)
         return r_enc + (k * a % _L).to_bytes(32, "little")
 
     good = ed25519_sign(seed, message)
@@ -430,6 +438,60 @@ def ed25519_edge_signatures(seed: bytes, message: bytes) -> dict[str, bytes]:
         "non-canonical-r": under((_P + 1).to_bytes(32, "little")),
         "s-plus-l": good[:32] + (s + _L).to_bytes(32, "little"),
         "s-max": good[:32] + b"\xff" * 32,
+    }
+
+
+@functools.cache
+def ed25519_mixed_order_signatures(seed: bytes, messages: tuple[bytes, ...]
+                                   ) -> tuple[tuple[bytes, bytes, bytes], ...]:
+    """(key, message, signature) for each message: the key A + T, seed's key A
+    plus the order-8 point T, and seed's signature announcing that key.
+
+    [S]B = R + [k]A, so the cofactorless check R + [k](A + T) holds exactly
+    where [k]T vanishes: where the challenge k is 0 mod 8.
+    """
+    a, _ = _expand_seed(seed)
+    key = _encode_point(_edwards_add(_scalarmult(_B, a), _torsion_generator()))
+    return tuple((key, m, ed25519_sign(seed, m, key)) for m in messages)
+
+
+@functools.cache
+def ed25519_key_edge_signatures(seed: bytes, messages: tuple[bytes, ...]
+                                ) -> dict[str, tuple[bytes, bytes, bytes]]:
+    """(key, message, signature) at the key-side edges where Ed25519 verifiers
+    disagree (Chalkias, Garillot and Nikolaenko, SSR 2020), by name. A is
+    seed's key, T the order-8 point and k the challenge of R, key and message:
+
+    - mixed-key-k0: the first of ed25519_mixed_order_signatures with
+      k = 0 mod 8, which verifies cofactorless
+    - mixed-key-k-nonzero: the first with k != 0 mod 8, which does not
+    - small-order-r: key A + T, R = T and S = k·a, for the first message with
+      k = 7 mod 8, where R + [k](A + T) = [k]A + [k + 1]T = [S]B
+    - non-canonical-key: y = 3 + p, past p, whose y mod p is on the curve
+    - off-curve-key: y = 2, on no point of the curve
+
+    The last two carry seed's own signature of the first message.
+    """
+    a, _ = _expand_seed(seed)
+    mixed = ed25519_mixed_order_signatures(seed, messages)
+    key = mixed[0][0]
+    t_enc = _encode_point(_torsion_generator())
+    # R = T and S = k·a, for each message
+    under_t = [(key, m, t_enc + (ed25519_challenge(t_enc, key, m) * a % _L).to_bytes(32, "little"))
+               for m in messages]
+
+    def first(cases, *residues: int) -> tuple[bytes, bytes, bytes]:
+        # the first case whose challenge k is one of residues mod 8
+        return next(case for case in cases
+                    if ed25519_challenge(case[2][:32], key, case[1]) % 8 in residues)
+
+    signed = ed25519_sign(seed, messages[0])
+    return {
+        "mixed-key-k0": first(mixed, 0),
+        "mixed-key-k-nonzero": first(mixed, *range(1, 8)),
+        "small-order-r": first(under_t, 7),
+        "non-canonical-key": ((3 + _P).to_bytes(32, "little"), messages[0], signed),
+        "off-curve-key": ((2).to_bytes(32, "little"), messages[0], signed),
     }
 
 
@@ -445,22 +507,28 @@ def _decode_point_mod_p(data: bytes):
 
 
 @functools.cache
-def ed25519_small_order_encodings() -> frozenset[bytes]:
-    """Every 32-byte encoding of a point P with [8]P the identity.
-
-    [L]Q of a point Q lies in the torsion subgroup of order 8; the first such
-    point of order 8 generates it. Each of its eight multiples is encoded by
-    its y and, where below 2**255, y + p, with either sign bit; each candidate
-    is decoded again and checked.
-    """
+def _torsion_generator():
+    """T, a point of order 8: [L]Q of a point Q lies in the torsion subgroup
+    of order 8, and the first such point of order 8 generates it."""
     y = 2
     while True:
         q = _decode_point_mod_p(y.to_bytes(32, "little"))
         if q is not None:
             gen = _scalarmult(q, _L)
             if _scalarmult(gen, 4) != (0, 1):
-                break
+                return gen
         y += 1
+
+
+@functools.cache
+def ed25519_small_order_encodings() -> frozenset[bytes]:
+    """Every 32-byte encoding of a point P with [8]P the identity.
+
+    Each of the eight multiples of T (_torsion_generator) is encoded by its y
+    and, where below 2**255, y + p, with either sign bit; each candidate is
+    decoded again and checked.
+    """
+    gen = _torsion_generator()
     encodings = set()
     for k in range(8):
         _, y = _scalarmult(gen, k)

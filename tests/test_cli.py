@@ -128,7 +128,10 @@ def test_simulate_unknown_scenario_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("seed, message", [
     ("x", "not an integer: 'x'"),
     (str(2**64), "seed must fit in 64 unsigned bits"),
-], ids=["not-an-integer", "2**64"])
+    ("-1", "seed must fit in 64 unsigned bits"),
+    # int(text, 0) reads 0x10 as 16 and refuses a decimal with a leading zero
+    ("010", "not an integer: '010'"),
+], ids=["not-an-integer", "2**64", "negative", "leading-zero"])
 def test_simulate_bad_seed_is_usage_error(tmp_path, capsys, seed, message):
     code, out, err = run(capsys, "simulate", "--scenario", "genuine", "--seed", seed,
                          "--out", str(tmp_path / "cap"))
@@ -466,9 +469,13 @@ def test_bench_seed_range_is_parsed_without_a_seed_list():
     assert parse(["bench"]).seed == range(1, 21)
     assert parse(["bench", "--seed", "7"]).seed == range(7, 8)
     assert parse(["bench", "--seed", f"0..{2**64 - 1}"]).seed == range(2**64)
-    with pytest.raises(SystemExit) as exc:
-        parse(["bench", "--seed", f"0..{2**64}"])
-    assert exc.value.code == 2
+    # each end is read as simulate reads its --seed
+    assert parse(["bench", "--seed", "0x10"]).seed == range(16, 17)
+    assert parse(["bench", "--seed", "0x10..0o22"]).seed == range(16, 19)
+    for text in (f"0..{2**64}", "010", "-1..2", "1..x", "3..2"):
+        with pytest.raises(SystemExit) as exc:
+            parse(["bench", "--seed", text])
+        assert exc.value.code == 2, text
 
 
 def _byte_mutant(data: bytes, kind: int, a: int, b: int) -> bytes:

@@ -187,14 +187,29 @@ def test_envelope_insufficient_samples():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: audio_envelope(np.zeros(80, np.float32), 0, 8, 8), "must be positive"),
-    (lambda: audio_envelope(np.zeros(80, np.float32), 80, -8, 8), "must be positive"),
+    (lambda: audio_envelope(np.zeros(80, np.float32), 0, 8, 8),
+     "^sample_rate must be a positive integer$"),
+    (lambda: audio_envelope(np.zeros(80, np.float32), 80, -8, 8),
+     "^frame_rate must be a positive integer$"),
     # bounds 0, 1, 1, 2, 2: the second window holds no sample
-    (lambda: audio_envelope(np.zeros(10, np.float32), 4, 8, 4), "shorter than one audio sample"),
+    (lambda: audio_envelope(np.zeros(10, np.float32), 4, 8, 4),
+     "^audio sample_rate must be at least frame_rate$"),
     (lambda: audio_envelope(np.zeros(10, np.float32), 2**62, 1, 4), r"below 2\*\*63"),
     (lambda: window_bounds(8, 1, 2**61), r"below 2\*\*63"),
+    (lambda: window_bounds(4, 0, 8000), "^frame_rate must be a positive integer$"),
+    (lambda: window_bounds(4, -8, 8000), "^frame_rate must be a positive integer$"),
+    (lambda: window_bounds(4, 8.5, 8000), "^frame_rate must be a positive integer$"),
+    (lambda: window_bounds(4, True, 8000), "^frame_rate must be a positive integer$"),
+    # frame_rate past int64, bounded only by sample_rate >= frame_rate
+    (lambda: window_bounds(4, 2**64, 1), "^audio sample_rate must be at least frame_rate$"),
+    (lambda: audio_envelope(np.zeros(10, np.float32), 10, 8.5, 4),
+     "^frame_rate must be a positive integer$"),
+    (lambda: audio_envelope(np.zeros(40, np.float32), 10, True, 4),
+     "^frame_rate must be a positive integer$"),
 ], ids=["zero-sample-rate", "negative-frame-rate", "window-without-sample",
-        "envelope-past-int64", "bounds-past-int64"])
+        "envelope-past-int64", "bounds-past-int64", "bounds-zero-rate", "bounds-negative-rate",
+        "bounds-float-rate", "bounds-bool-rate", "bounds-rate-2**64", "envelope-float-rate",
+        "envelope-bool-rate"])
 def test_envelope_refuses_what_it_cannot_window(call, match):
     with pytest.raises(ValueError, match=match):
         call()

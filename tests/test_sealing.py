@@ -98,6 +98,21 @@ def test_signatures_agree_with_independent_rfc_transcription():
         assert verify_data(pair.public_key, msg, oracles.ed25519_sign(seed, msg))
 
 
+# The manifests the edge cases sign: one image, 48 timestamps, so 48 payloads.
+_EDGE_MANIFESTS = tuple(RealismManifest("EDGE-01", 1700000000 + i, ManifestScores(*[1000] * 5),
+                                        image_hash(b"edge image")) for i in range(48))
+_EDGE_PAYLOADS = tuple(map(canonical_encode, _EDGE_MANIFESTS))
+_EDGE_SEED = bytes(range(32))
+
+
+def _edge_case(case: str) -> tuple[bytes, bytes, bytes]:
+    """(key, payload, signature) of a named oracle edge case."""
+    signatures = oracles.ed25519_edge_signatures(_EDGE_SEED, _EDGE_PAYLOADS[0])
+    if case in signatures:
+        return oracles.ed25519_public_key(_EDGE_SEED), _EDGE_PAYLOADS[0], signatures[case]
+    return oracles.ed25519_key_edge_signatures(_EDGE_SEED, _EDGE_PAYLOADS)[case]
+
+
 @pytest.mark.parametrize("case, accepted", [
     # Cofactorless acceptance, as RFC 8032 and the oracle; libsodium refuses
     # an identity R, so a kernel swap must decide this case first.
@@ -105,20 +120,33 @@ def test_signatures_agree_with_independent_rfc_transcription():
     ("non-canonical-r", False),
     ("s-plus-l", False),
     ("s-max", False),
+    # A mixed-order key verifies where [k]T vanishes, as cofactorless RFC 8032.
+    ("mixed-key-k0", True),
+    ("mixed-key-k-nonzero", False),
+    # Pinned as found, not decided: a small-order R that is not the identity
+    # verifies, cofactorless, under a mixed-order key where k = 7 mod 8.
+    ("small-order-r", True),
+    ("non-canonical-key", False),
+    ("off-curve-key", False),
 ])
 def test_verify_data_at_the_edges_agrees_with_the_rfc_oracle(case, accepted):
-    seed = bytes(range(32))
-    public = oracles.ed25519_public_key(seed)
+    public, payload, signature = _edge_case(case)
     registry = Registry((RegistryEntry("EDGE-01", TRUSTED, public.hex()),))
-    manifest = RealismManifest("EDGE-01", 1700000000, ManifestScores(*[1000] * 5),
-                               image_hash(b"edge image"))
-    payload = canonical_encode(manifest)
-    signature = oracles.ed25519_edge_signatures(seed, payload)[case]
     assert oracles.ed25519_verify(public, payload, signature) is accepted
     assert verify_data(public, payload, signature) is accepted
+    manifest = _EDGE_MANIFESTS[_EDGE_PAYLOADS.index(payload)]
     report = verify(b"edge image", write_sidecar(SealedBundle(b"edge image", manifest, signature)),
                     registry)
     assert report.verdict == ("authentic" if accepted else "tampered_manifest")
+
+
+def test_a_mixed_order_key_verifies_where_k_is_0_mod_8():
+    # the RFC oracle agrees on the first case of each kind, in the test above
+    cases = oracles.ed25519_mixed_order_signatures(_EDGE_SEED, _EDGE_PAYLOADS)
+    accepted = [verify_data(*case) for case in cases]
+    assert accepted == [oracles.ed25519_challenge(sig[:32], key, payload) % 8 == 0
+                        for key, payload, sig in cases]
+    assert sum(accepted) == 2  # payloads 40 and 41 of the 48
 
 
 def test_a_small_order_key_that_a_forgery_verifies_under_is_refused():
