@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CaptureError
-from .manifest import _ID_MAX, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
+from .manifest import _ID_MAX, _INT64_MAX, LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _is_int
 from .scene import SceneCapture
 
 CAPTURE_FILE = "capture.rsc"
@@ -62,7 +62,6 @@ def encode_frame_pgm(frame: np.ndarray) -> bytes:
 # The metadata's scalar fields, each with its longest value, which sizes
 # _MAX_META_LEN: the longest id, integers at 2**63 - 1 and a float of the
 # longest repr (17 digits and a 3-digit exponent). SceneCapture checks them.
-_INT64_MAX = 2**63 - 1
 _FIELDS = {"device_id": "-" * _ID_MAX, "frame_rate": _INT64_MAX,
            "pixels_per_radian": sys.float_info.min, "sample_rate": _INT64_MAX,
            "timestamp_unix": _INT64_MAX}

@@ -41,7 +41,7 @@ _HEX64_RE = re.compile(rf"^{_HEX64}\Z")
 
 LAT_MICRODEG_MAX = 90_000_000
 LON_MICRODEG_MAX = 180_000_000
-_TIMESTAMP_MAX = 2**63 - 1
+_INT64_MAX = 2**63 - 1
 
 
 def _is_int(v: object) -> bool:
@@ -59,7 +59,7 @@ def _check_version(value: object) -> None:
 
 
 def _check_timestamp(value: object, error: type[RealSealError]) -> None:
-    if not _is_int(value) or not 0 <= value <= _TIMESTAMP_MAX:
+    if not _is_int(value) or not 0 <= value <= _INT64_MAX:
         raise error("timestamp_unix must be an integer within [0, 2**63 - 1]")
 
 
@@ -87,7 +87,7 @@ def _as_bytes(data: object) -> bytes | None:
     return None
 
 
-def _require_bytes(data: object, error: type[RealSealError], what: str) -> bytes:
+def _require_bytes(data: object, what: str, error: type[RealSealError]) -> bytes:
     """bytes(data), or error naming the type of a data that is not bytes-like."""
     if (raw := _as_bytes(data)) is None:
         raise error(f"{what} must be bytes, bytearray or an open memoryview, "
@@ -157,7 +157,7 @@ _LOCATION = '"location":{"lat_microdeg":%d,"lon_microdeg":%d},'
 # keeps every integer it captures far below int()'s digit limit.
 MAX_MANIFEST_LEN = len(_ENCODING % (
     "C" * _ID_MAX, "0" * 64, _LOCATION % (-LAT_MICRODEG_MAX, -LON_MICRODEG_MAX),
-    *[1000] * 5, _TIMESTAMP_MAX, MANIFEST_VERSION))
+    *[1000] * 5, _INT64_MAX, MANIFEST_VERSION))
 
 
 def canonical_encode(m: RealismManifest) -> bytes:
@@ -192,7 +192,7 @@ _MANIFEST_GRAMMAR = re.compile(_pattern(
 
 def parse_manifest(data: bytes) -> RealismManifest:
     """Parse canonical manifest bytes; rejects anything non-canonical."""
-    data = _require_bytes(data, ManifestError, "manifest")
+    data = _require_bytes(data, "manifest", ManifestError)
     if len(data) > MAX_MANIFEST_LEN:
         raise ManifestError(f"malformed manifest: longer than {MAX_MANIFEST_LEN} bytes")
     match = _MANIFEST_GRAMMAR.fullmatch(data)

@@ -172,7 +172,7 @@ def load_registry(data: bytes) -> Registry:
         finally:
             if gc_was_enabled:
                 gc.enable()
-    raise _first_error(_require_bytes(data, RegistryError, "registry").decode("utf-8"))
+    raise _first_error(_require_bytes(data, "registry", RegistryError).decode("utf-8"))
 
 
 def _checked_columns(data: bytes) -> tuple[list[str], list[str], list[str]] | None:
@@ -180,7 +180,7 @@ def _checked_columns(data: bytes) -> tuple[list[str], list[str], list[str]] | No
 
     Raises RegistryError only for input that is not bytes-like or not UTF-8.
     """
-    raw = _require_bytes(data, RegistryError, "registry")
+    raw = _require_bytes(data, "registry", RegistryError)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:

@@ -32,7 +32,7 @@ from .manifest import (LAT_MICRODEG_MAX, LON_MICRODEG_MAX, _check_device_id, _ch
                        _checked_location, _is_int)
 from .rng import fill_u64, fill_unit
 from .scenarios import GENUINE, PRINTED_PHOTO, SCREEN_REPLAY
-from .scoring import _flow_error, _rolls, _window_error, motion_energy, window_bounds
+from .scoring import _check_flow, _check_span, _check_window, _rolls, motion_energy, window_bounds
 
 # Declared conversion between yaw angle and horizontal pixel shift. A power
 # of two keeps synthesized IMU values exact in float32.
@@ -146,9 +146,8 @@ class SceneCapture:
         object.__setattr__(self, "yaw_rates", _freeze(yaw))
         if yaw.size != self.frame_count:
             raise CaptureError("IMU trace must have one entry per frame")
-        # audio must cover the frame span: samples/rate >= frames/frame_rate
-        if samples.size * self.frame_rate < self.frame_count * self.sample_rate:
-            raise CaptureError("audio shorter than the frame span")
+        _check_span(samples.size, self.frame_count, self.frame_rate, self.sample_rate,
+                    CaptureError)
         _check_device_id(self.device_id, CaptureError)
         _check_timestamp(self.timestamp_unix, CaptureError)
         object.__setattr__(self, "location", _checked_location(self.location, CaptureError))
@@ -190,12 +189,10 @@ class ScenarioParams:
             raise CaptureError("width, height and frame_count must be integers")
         if self.width < 2 or self.height < 2:
             raise CaptureError("width and height must be at least 2")
-        if error := _flow_error(self.height, self.width):
-            raise CaptureError(error)
+        _check_flow(self.height, self.width, CaptureError)
         if self.frame_count < MIN_FRAME_COUNT:
             raise CaptureError(f"a capture needs at least {MIN_FRAME_COUNT} frames")
-        if error := _window_error(self.frame_count, self.frame_rate, self.sample_rate):
-            raise CaptureError(error)
+        _check_window(self.frame_count, self.frame_rate, self.sample_rate, CaptureError)
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,10 @@ def score_thermal(temps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.ndarray:
-    """Sample index of each frame-window boundary, ceil(k*sr/fr) for k=0..n,
-    exact in int64; sizes that break the frame-window rule are refused."""
-    if error := _window_error(frame_count, frame_rate, sample_rate):
-        raise ValueError(error)
+    """The frame_count + 1 int64 frame-window bounds ceil(k*sr/fr), k=0..n, exact;
+    sizes that break the frame-window rule are refused, and a legal size too
+    large to allocate raises numpy's MemoryError."""
+    _check_window(frame_count, frame_rate, sample_rate, ValueError)
     k = np.arange(frame_count + 1, dtype=np.int64)
     return -(-(k * sample_rate) // frame_rate)
 
@@ -126,44 +126,52 @@ def window_bounds(frame_count: int, frame_rate: int, sample_rate: int) -> np.nda
 def audio_envelope(samples: np.ndarray, sample_rate: int, frame_rate: int,
                    frame_count: int) -> np.ndarray:
     """Per-frame RMS of the samples in [k/frame_rate, (k+1)/frame_rate), the
-    windows of window_bounds; the samples must cover the frame span."""
+    windows of window_bounds; the samples must cover the frame span, which is
+    checked before any window is sized."""
     samples = np.asarray(samples)
+    _check_window(frame_count, frame_rate, sample_rate, ValueError)
+    _check_span(samples.size, frame_count, frame_rate, sample_rate, ValueError)
     bounds = window_bounds(frame_count, frame_rate, sample_rate)
-    if bounds[-1] > samples.size:
-        raise ValueError("insufficient audio samples for the frame span")
     x = samples[:bounds[-1]].astype(np.float64)
     x *= x
     return np.sqrt(np.add.reduceat(x, bounds[:-1]) / np.diff(bounds))
 
 
-def _window_error(frame_count: int, frame_rate: int, sample_rate: int) -> str | None:
-    """The first frame-window rule the sizes break, or None; sample_rate >=
-    frame_rate puts a sample in every window, and bounds frame_rate too."""
+def _check_window(frame_count: int, frame_rate: int, sample_rate: int,
+                  error: type[Exception]) -> None:
+    """Raise error naming the first frame-window rule the sizes break; sample_rate
+    >= frame_rate puts a sample in every window, and bounds frame_rate too."""
     for name, size in (("frame_count", frame_count), ("frame_rate", frame_rate),
                        ("sample_rate", sample_rate)):
         if not _is_int(size) or size <= 0:
-            return f"{name} must be a positive integer"
+            raise error(f"{name} must be a positive integer")
     if frame_count * sample_rate >= 2**63:
-        return "frame_count * sample_rate must be below 2**63"
+        raise error("frame_count * sample_rate must be below 2**63")
     if sample_rate < frame_rate:
-        return "audio sample_rate must be at least frame_rate"
-    return None
+        raise error("audio sample_rate must be at least frame_rate")
 
 
-def _flow_error(height: int, width: int) -> str | None:
-    """None while every flow_shift dot product, at most w * (255 * h)**2, fits
-    int64; on Python ints, so the check itself cannot overflow."""
+def _check_span(sample_count: int, frame_count: int, frame_rate: int, sample_rate: int,
+                error: type[Exception]) -> None:
+    """Raise error unless the samples cover the frame span, sample_count /
+    sample_rate >= frame_count / frame_rate, which on Python ints holds exactly
+    when sample_count >= window_bounds(...)[-1]."""
+    if sample_count * frame_rate < frame_count * sample_rate:
+        raise error("audio shorter than the frame span")
+
+
+def _check_flow(height: int, width: int, error: type[Exception]) -> None:
+    """Raise error unless every flow_shift dot product, at most w * (255 * h)**2,
+    fits int64; on Python ints, so the check itself cannot overflow."""
     if width * (255 * height) ** 2 >= 2**63:
-        return "frames too large: width * (255 * height)**2 must be below 2**63"
-    return None
+        raise error("frames too large: width * (255 * height)**2 must be below 2**63")
 
 
 def _frame_stack(frames) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.dtype != np.uint8 or frames.ndim != 3 or len(frames) < 2:
         raise ValueError("expected an (F,H,W) uint8 frame stack with at least 2 frames")
-    if error := _flow_error(frames.shape[1], frames.shape[2]):
-        raise ValueError(error)
+    _check_flow(frames.shape[1], frames.shape[2], ValueError)
     return frames
 
 

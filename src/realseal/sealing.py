@@ -199,7 +199,7 @@ def write_sidecar(bundle: SealedBundle) -> bytes:
 
 def _split_sidecar(data: bytes) -> tuple[bytes, bytes]:
     """The (manifest bytes, signature) a sidecar holds; strict, no trailing."""
-    data = _require_bytes(data, SidecarError, "sidecar")
+    data = _require_bytes(data, "sidecar", SidecarError)
     if len(data) < 4:
         raise SidecarError("truncated sidecar")
     if data[:4] != _SIDECAR_MAGIC:

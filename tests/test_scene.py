@@ -512,7 +512,7 @@ def test_capture_cross_validation():
             device_id=cap.device_id,
             timestamp_unix=cap.timestamp_unix,
         )
-    with pytest.raises(CaptureError):
+    with pytest.raises(CaptureError, match="^audio shorter than the frame span$"):
         SceneCapture(
             frames=cap.frames,
             depth_maps=cap.depth_maps,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from realseal import (
+    CaptureError,
     DimensionScores,
     ScenarioParams,
     SceneCapture,
@@ -206,13 +207,51 @@ def test_envelope_insufficient_samples():
      "^frame_rate must be a positive integer$"),
     (lambda: audio_envelope(np.zeros(40, np.float32), 10, True, 4),
      "^frame_rate must be a positive integer$"),
+    # bounds 0, 3, 6, 8: seven samples leave the last window one short
+    (lambda: audio_envelope(np.zeros(7, np.float32), 8, 3, 3),
+     "^audio shorter than the frame span$"),
 ], ids=["zero-sample-rate", "negative-frame-rate", "window-without-sample",
         "envelope-past-int64", "bounds-past-int64", "bounds-zero-rate", "bounds-negative-rate",
         "bounds-float-rate", "bounds-bool-rate", "bounds-rate-2**64", "envelope-float-rate",
-        "envelope-bool-rate"])
+        "envelope-bool-rate", "envelope-short-audio"])
 def test_envelope_refuses_what_it_cannot_window(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_envelope_refuses_short_audio_before_sizing_a_window():
+    # 2**20 windows would take 8 MiB of bounds alone; ten samples cover none
+    samples = np.zeros(10, np.float32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^audio shorter than the frame span$"):
+            audio_envelope(samples, 1, 1, 2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_span_rule_is_the_windows_own():
+    # the span rule accepts a sample count exactly when the windows' last bound fits
+    for frame_count in range(1, 9):
+        for frame_rate in range(1, 9):
+            for sample_rate in range(frame_rate, 12):
+                end = int(window_bounds(frame_count, frame_rate, sample_rate)[-1])
+                for size in range(40):
+                    samples = np.zeros(size, np.float32)
+                    if size >= end:
+                        audio_envelope(samples, sample_rate, frame_rate, frame_count)
+                    else:
+                        with pytest.raises(ValueError, match="^audio shorter than the frame span$"):
+                            audio_envelope(samples, sample_rate, frame_rate, frame_count)
+    # a capture refuses audio one sample short of its last window with the same text
+    for params in (ScenarioParams(), ScenarioParams(8, 8, 5, 3, 8), ScenarioParams(8, 8, 7, 7, 7)):
+        cap = generate_genuine_scene(1, params)
+        end = window_bounds(cap.frame_count, cap.frame_rate, cap.sample_rate)[-1]
+        assert cap.audio.size == end
+        with pytest.raises(CaptureError, match="^audio shorter than the frame span$"):
+            dataclasses.replace(cap, audio=cap.audio[:-1])
 
 
 def test_window_bounds_are_exact_up_to_int64():
